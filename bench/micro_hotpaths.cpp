@@ -195,7 +195,7 @@ BENCHMARK(BM_MlpForwardBatch);
 
 // Threaded-vs-serial scaling of the two big offline artifacts.  The rigs
 // are sized so per-item work dominates the fan-out overhead (a table large
-// enough that slab builds take milliseconds; an episode batch deep enough
+// enough that row builds take milliseconds; an episode batch deep enough
 // that the wave engine's merge cost is noise) — with the wave-merge
 // barrier, cache-probe lock and per-wave allocations gone, speedup on a
 // multicore host is asserted, not just observed: the CI scaling gate
@@ -274,6 +274,33 @@ BENCHMARK(BM_SweepWorkers)
     ->ArgName("workers")
     ->Arg(1)
     ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// In-process scaling of the sweep: the same grid in one process at
+// `--threads N`, so the pool's point claims are the only parallelism.  The
+// smoke grid's per-point cost spans several times between scenarios, so a
+// static split of the points would leave threads idle behind the slowest
+// share; the scaling gate requires threads:4 <= 0.4x threads:1 real time
+// on machines with >= 4 cores.
+void BM_SweepThreads(benchmark::State& state) {
+  const std::string cmd =
+      std::string(SEO_SWEEP_TOOL) +
+      " --smoke --episodes 8 --max-attempts 32 --threads " +
+      std::to_string(state.range(0)) + " --output /dev/null 2>/dev/null";
+  for (auto _ : state) {
+    const int rc = std::system(cmd.c_str());
+    if (rc != 0) {
+      state.SkipWithError("sweep exited nonzero");
+      break;
+    }
+  }
+}
+// UseRealTime: the work happens in the child process.
+BENCHMARK(BM_SweepThreads)
+    ->ArgName("threads")
+    ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -38,8 +38,9 @@ CemResult cem_optimize(const std::function<double(const Vector&)>& objective,
     for (std::size_t i = 0; i < config.population; ++i)
       for (std::size_t d = 0; d < dim; ++d)
         samples[i][d] = mean[d] + stddev[d] * rng.gaussian();
-    const auto score_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) scores[i] = objective(samples[i]);
+    const auto score_range = [&](IndexCursor& members) {
+      for (std::size_t i = 0; members.claim(i);)
+        scores[i] = objective(samples[i]);
     };
     ThreadPool::run_capped(0, config.population, workers, score_range);
 

@@ -51,33 +51,19 @@ DeadlineTable::DeadlineTable(DeadlineTableConfig config,
   SEO_EXPECT(std::isfinite(body_radius_) && body_radius_ > 0.0);
 
   // Place a virtual obstacle at every reduced coordinate and record the
-  // evaluator's Delta_max.  The ego sits at the origin heading +x.  The grid
-  // is partitioned into distance slabs; cells are independent and each slab
-  // writes a disjoint region of values_, so any thread count produces a
-  // bit-identical table.
-  //
-  // Slabs are dealt to workers *strided* (worker c of C builds di = c,
-  // c+C, c+2C, ...), not as contiguous ranges: per-slab cost varies
-  // strongly with obstacle distance, so a contiguous 2-way split lands all
-  // the expensive near-field slabs on one worker and the build degenerates
-  // to nearly serial (the BM_DeadlineTableBuild/threads:2 regression).
-  // Striding interleaves the cost profile evenly across workers for any
-  // monotone-ish cost curve, and the output is unchanged — each cell is
-  // independent and written exactly once.
-  const std::size_t distance_bins =
-      static_cast<std::size_t>(config_.distance_bins);
-  const std::size_t chunks = std::min(
-      std::max<std::size_t>(ThreadPool::resolve_threads(config_.threads), 1),
-      distance_bins);
-  const auto build_slabs = [this, &source, distance_bins, chunks](
-                               std::size_t chunk_lo, std::size_t chunk_hi) {
-    // One field per slab worker, rebuilt in place per cell: the grid has
-    // tens of thousands of cells, and a fresh ObstacleField per cell would
-    // make the build allocation-bound.
+  // evaluator's Delta_max.  The ego sits at the origin heading +x.  Workers
+  // claim distance rows one at a time: per-row cost varies strongly with
+  // obstacle distance, so claiming keeps the expensive near-field rows off
+  // any single worker.  Cells are independent and each row writes a
+  // disjoint region of values_, so any thread count produces a
+  // bit-identical table; one thread walks the rows in order.
+  const auto build_rows = [this, &source](IndexCursor& rows) {
+    // One field per worker, rebuilt in place per cell: the grid has tens of
+    // thousands of cells, and a fresh ObstacleField per cell would make the
+    // build allocation-bound.
     ObstacleField field;
     field.reserve(1);
-    for (std::size_t c = chunk_lo; c < chunk_hi; ++c)
-    for (std::size_t di = c; di < distance_bins; di += chunks) {
+    for (std::size_t di = 0; rows.claim(di);) {
       const double d = config_.max_distance * static_cast<double>(di) /
                        static_cast<double>(config_.distance_bins - 1);
       for (int bi = 0; bi < config_.bearing_bins; ++bi) {
@@ -107,11 +93,9 @@ DeadlineTable::DeadlineTable(DeadlineTableConfig config,
       }
     }
   };
-
-  // count == max_concurrency == chunks, so run_capped hands each worker
-  // exactly one strided chunk.  chunks == 1 walks di in the same order the
-  // serial build always has.
-  ThreadPool::run_capped(0, chunks, chunks, build_slabs);
+  ThreadPool::run_capped(0, static_cast<std::size_t>(config_.distance_bins),
+                         ThreadPool::resolve_threads(config_.threads),
+                         build_rows);
 }
 
 DeadlineTable::DeadlineTable(DeadlineTableConfig config, double body_radius,

@@ -121,12 +121,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
     episodes.resize(wave);
     if (config.trace_tap) traces.resize(wave);
-    const auto run_range = [&](std::size_t lo, std::size_t hi) {
-      // One scenario copy per chunk (not per episode): only the seed
-      // differs between attempts, so the chunk worker mutates that field
-      // alone on its private copy.
+    const auto run_range = [&](IndexCursor& attempts) {
+      // One scenario copy per task (not per episode): only the seed differs
+      // between attempts, so the task mutates that field alone on its
+      // private copy.
       ScenarioConfig scenario = config.scenario;
-      for (std::size_t k = lo; k < hi; ++k) {
+      for (std::size_t k = 0; attempts.claim(k);) {
         scenario.seed = config.base_seed + first_attempt + k;
         if (config.trace_tap) {
           traces[k].clear();

@@ -93,13 +93,12 @@ FleetResult run_fleet_experiment(const FleetExperimentConfig& config) {
   const std::uint64_t point_digest =
       config.trace_sink != nullptr ? scenario_table_digest(scenario) : 0;
   const std::size_t workers = ThreadPool::resolve_threads(config.threads);
-  ThreadPool::run_capped(0, total, workers, [&](std::size_t lo,
-                                                std::size_t hi) {
-    // Slot-local trace buffer reused across the chunk's episodes: clear()
+  ThreadPool::run_capped(0, total, workers, [&](IndexCursor& claims) {
+    // Task-local trace buffer reused across the task's episodes: clear()
     // keeps its reserved capacity, so steady-state episodes record without
     // reallocating the sample/offload vectors.
     EpisodeTrace trace;
-    for (std::size_t i = lo; i < hi; ++i) {
+    for (std::size_t i = 0; claims.claim(i);) {
       ScenarioConfig episode_scenario = scenario;
       episode_scenario.seed = config.base_seed + i;
       trace.clear();

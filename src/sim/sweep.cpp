@@ -150,13 +150,12 @@ SweepPlan plan_sweep(const SweepConfig& config) {
 
   // Digest-aware scheduling: execute grid points grouped by the table
   // digest run_episode will request, groups ordered by first appearance.
-  // Static chunking over the grouped order puts a geometry class on one
-  // worker (thread or process), so the class's first episode builds (or
-  // disk-loads) the table and every sibling hits warm — instead of
-  // colliding cold shards serializing on single-flight waits.  A group
-  // split across a chunk boundary still dedups through single-flight;
-  // grouping is purely a warmth optimization.  Points with nothing
-  // shareable (digest 0) keep their own slot in the order.
+  // Threads claim points one at a time in this order and shards take
+  // contiguous slices of it, so a geometry class's points run close
+  // together: the first builds (or disk-loads) the table, and a sibling
+  // claimed meanwhile waits on that single-flight build instead of
+  // repeating it.  Grouping is purely a warmth optimization.  Points with
+  // nothing shareable (digest 0) keep their own slot in the order.
   plan.digests.resize(plan.points.size());
   plan.order.reserve(plan.points.size());
   {
@@ -192,10 +191,9 @@ std::vector<std::size_t> SweepPlan::shard_points(std::size_t shard,
                                                  std::size_t shards) const {
   SEO_EXPECT(shards >= 1);
   SEO_EXPECT(shard < shards);
-  // The same ceil-division chunking ThreadPool::run_capped applies, over
-  // the digest-grouped schedule: shard boundaries and worker-thread chunk
-  // boundaries are the same kind of cut, and every geometry class stays
-  // whole within one shard (up to the boundary points).
+  // Contiguous ceil-division slices of the digest-grouped schedule: shards
+  // on different hosts need a static partition, and a contiguous one keeps
+  // every geometry class whole within one shard (up to the boundary points).
   const std::size_t n = order.size();
   const std::size_t grain = (n + shards - 1) / shards;
   const std::size_t lo = std::min(shard * grain, n);
@@ -230,8 +228,8 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
   // count, worker count, and schedule.
   const std::size_t workers = ThreadPool::resolve_threads(config.threads);
   ThreadPool::run_capped(
-      0, exec.size(), workers, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
+      0, exec.size(), workers, [&](IndexCursor& schedule) {
+        for (std::size_t s = 0; schedule.claim(s);) {
           const std::size_t i = exec[s];
           ExperimentConfig experiment;
           experiment.scenario = plan.resolved[i];

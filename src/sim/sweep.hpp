@@ -2,12 +2,13 @@
 // space the paper samples only pointwise.  A sweep is (library scenarios) x
 // (axes over scenario_io keys), expanded cartesian or paired, with every
 // grid point running a full run_experiment shard.  Shards fan out across
-// the ThreadPool in digest-aware order — points sharing a deadline-table
-// digest are scheduled adjacently so each geometry class is built (or
-// disk-loaded) once and its siblings always hit warm — and land in
-// index-addressed slots, so results are merged in grid order and any
-// thread count (and any schedule) reproduces the serial sweep exactly
-// (locked down by tests/test_sweep.cpp byte-identity on the reports).
+// the ThreadPool in digest-aware order, one point per claim — points
+// sharing a deadline-table digest are scheduled adjacently so each
+// geometry class is built (or disk-loaded) once and its siblings reuse
+// it — and land in index-addressed slots, so results are merged in grid
+// order and any thread count (and any schedule) reproduces the serial
+// sweep exactly (locked down by tests/test_sweep.cpp byte-identity on the
+// reports).
 #pragma once
 
 #include <cstdint>
@@ -131,12 +132,13 @@ using SweepEmit = std::function<void(
     std::size_t index, SweepRow&& row, std::string&& trace_block,
     std::uint64_t trace_episodes)>;
 
-/// Runs the `owned` subset (ascending grid indices) of a planned sweep in
-/// digest-grouped order and hands each finished point to `emit`.  The
-/// execution core under run_sweep, run_sweep_shard, and the --workers
-/// pipe workers — one body, so every mode computes bit-identical rows and
-/// trace bytes.  `config.trace_sink` is ignored here; trace blocks are
-/// produced iff `want_trace` and routed by the caller.
+/// Runs the `owned` subset (ascending grid indices) of a planned sweep,
+/// threads claiming points one at a time in digest-grouped order, and
+/// hands each finished point to `emit`.  The execution core under
+/// run_sweep, run_sweep_shard, and the --workers pipe workers — one body,
+/// so every mode computes bit-identical rows and trace bytes.
+/// `config.trace_sink` is ignored here; trace blocks are produced iff
+/// `want_trace` and routed by the caller.
 void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
                           const std::vector<std::size_t>& owned,
                           bool want_trace, const SweepEmit& emit);

@@ -10,8 +10,10 @@ namespace seo {
 
 namespace {
 /// Set while a thread runs a task for some pool; used to detect nested
-/// parallel_for calls (which must run inline to avoid deadlock).
+/// parallel_for_capped calls (which must run inline to avoid deadlock).
 thread_local const ThreadPool* t_worker_pool = nullptr;
+/// Set once the global pool exists, so global_stats() need not create it.
+std::atomic<bool> g_global_created{false};
 }  // namespace
 
 double ThreadPoolStats::busy_fraction(double window_s,
@@ -73,7 +75,7 @@ void ThreadPool::enqueue_bulk(
   const std::size_t nq = queues_.size();
   const std::size_t start =
       next_queue_.fetch_add(count, std::memory_order_relaxed) % nq;
-  // One lock per queue, not per task: queue q receives the chunks c with
+  // One lock per queue, not per task: queue q receives the tasks c with
   // (start + c) % nq == q, preserving the round-robin spread.
   for (std::size_t q = 0; q < nq; ++q) {
     const std::size_t first = (q + nq - start) % nq;
@@ -99,8 +101,8 @@ bool ThreadPool::try_pop(std::size_t worker_index,
       return true;
     }
   }
-  // ... then steal the oldest task from a sibling (FIFO spreads the big,
-  // early chunks of a parallel_for across workers).
+  // ... then steal the oldest task from a sibling (FIFO: first queued,
+  // first helped).
   for (std::size_t k = 1; k < queues_.size(); ++k) {
     auto& q = *queues_[(worker_index + k) % queues_.size()];
     std::lock_guard<std::mutex> lock(q.mutex);
@@ -148,22 +150,22 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::parallel_for_capped(
+    std::size_t begin, std::size_t end, std::size_t max_concurrency,
+    const std::function<void(IndexCursor&)>& fn) {
   if (begin >= end) return;
-  const std::size_t g = std::max<std::size_t>(grain, 1);
-  const std::size_t count = end - begin;
-  // Inline when the range is one chunk, the pool is trivial, or we are
-  // already inside a worker (nested parallelism would deadlock on join).
-  if (count <= g || size() <= 1 || t_worker_pool != nullptr) {
-    fn(begin, end);
+  IndexCursor cursor(begin, end);
+  const std::size_t tasks = std::min(max_concurrency, end - begin);
+  // Inline when one task would do, the pool is trivial, or we are already
+  // inside a worker (nested parallelism would deadlock on join).
+  if (tasks <= 1 || size() <= 1 || t_worker_pool != nullptr) {
+    fn(cursor);
     return;
   }
 
-  const std::size_t chunks = (count + g - 1) / g;
-  // Join state shared with the chunk tasks; heap-allocated so stray tasks
-  // can never outlive the stack frame they reference.
+  // Join state shared with the tasks; heap-allocated so stray tasks can
+  // never outlive the stack frame they reference.  A task touches `fn` and
+  // `cursor` only before its final decrement, so those stay on the stack.
   struct Join {
     std::mutex mutex;
     std::condition_variable done;
@@ -171,14 +173,12 @@ void ThreadPool::parallel_for(
     std::exception_ptr error;
   };
   auto join = std::make_shared<Join>();
-  join->remaining = chunks;
+  join->remaining = tasks;
 
-  enqueue_bulk(chunks, [&](std::size_t c) -> std::function<void()> {
-    const std::size_t lo = begin + c * g;
-    const std::size_t hi = std::min(end, lo + g);
-    return [join, &fn, lo, hi] {
+  enqueue_bulk(tasks, [&](std::size_t) -> std::function<void()> {
+    return [join, &fn, &cursor] {
       try {
-        fn(lo, hi);
+        fn(cursor);
       } catch (...) {
         std::lock_guard<std::mutex> lock(join->mutex);
         if (!join->error) join->error = std::current_exception();
@@ -210,25 +210,13 @@ void ThreadPool::parallel_for(
   if (join->error) std::rethrow_exception(join->error);
 }
 
-void ThreadPool::parallel_for_capped(
-    std::size_t begin, std::size_t end, std::size_t max_concurrency,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::run_capped(std::size_t begin, std::size_t end,
+                            std::size_t max_concurrency,
+                            const std::function<void(IndexCursor&)>& fn) {
   if (begin >= end) return;
   if (max_concurrency <= 1) {
-    fn(begin, end);
-    return;
-  }
-  const std::size_t count = end - begin;
-  const std::size_t grain = (count + max_concurrency - 1) / max_concurrency;
-  parallel_for(begin, end, grain, fn);
-}
-
-void ThreadPool::run_capped(
-    std::size_t begin, std::size_t end, std::size_t max_concurrency,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  if (max_concurrency <= 1) {
-    fn(begin, end);
+    IndexCursor cursor(begin, end);
+    fn(cursor);
     return;
   }
   global().parallel_for_capped(begin, end, max_concurrency, fn);
@@ -260,7 +248,13 @@ bool ThreadPool::on_worker_thread() { return t_worker_pool != nullptr; }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool(hardware_threads());
+  g_global_created.store(true, std::memory_order_release);
   return pool;
+}
+
+ThreadPoolStats ThreadPool::global_stats() {
+  return g_global_created.load(std::memory_order_acquire) ? global().stats()
+                                                          : ThreadPoolStats{};
 }
 
 std::size_t ThreadPool::hardware_threads() {

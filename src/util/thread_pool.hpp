@@ -5,11 +5,11 @@
 //  1. Deterministic call sites: the pool itself schedules nondeterministically
 //     (that is the point), so every user partitions work into
 //     index-addressable units and merges results in index order.  The pool
-//     offers `parallel_for` for exactly that shape.
+//     offers `parallel_for_capped` for exactly that shape.
 //  2. Exception safety: a task that throws never takes a worker down; the
 //     exception is rethrown at the submitting call site (`future::get` or the
-//     `parallel_for` caller).
-//  3. No oversubscription: nested `parallel_for` calls from inside a worker
+//     `parallel_for_capped` caller).
+//  3. No oversubscription: nested `parallel_for_capped` calls from a worker
 //     run inline on the calling thread instead of deadlocking on the pool.
 //
 // Each worker owns a deque; the owner pushes/pops at the back (LIFO, cache
@@ -41,6 +41,24 @@
 #include <vector>
 
 namespace seo {
+
+/// The shared claim cursor of one `parallel_for_capped` range.  Every task of
+/// the call pulls indices from it one at a time until the range is used up,
+/// so a slow index holds up only the task that claimed it.
+class IndexCursor {
+ public:
+  IndexCursor(std::size_t begin, std::size_t end) : next_(begin), end_(end) {}
+
+  /// Claims the next unclaimed index into `index`; false once none is left.
+  bool claim(std::size_t& index) {
+    index = next_.fetch_add(1, std::memory_order_relaxed);
+    return index < end_;
+  }
+
+ private:
+  std::atomic<std::size_t> next_;
+  const std::size_t end_;
+};
 
 /// Monotonic utilization counters for one pool, snapshotted by `stats()`.
 /// Maintained with relaxed atomics: each field is individually exact, but a
@@ -81,39 +99,38 @@ class ThreadPool {
     return result;
   }
 
-  /// Splits [begin, end) into chunks of at most `grain` indices and runs
-  /// `fn(chunk_begin, chunk_end)` across the pool, blocking until every
-  /// chunk is done.  The first exception thrown by any chunk is rethrown
-  /// here.  Called from inside a pool worker (nested parallelism) or with a
-  /// single-chunk range, it runs inline on the calling thread.  All chunks
-  /// are published with one bulk enqueue (single wake broadcast) rather
-  /// than per-chunk lock/notify cycles.
-  void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+  /// Self-scheduled fan-out over [begin, end), the mechanism behind every
+  /// user-facing `threads` knob.  Runs `fn` as min(`max_concurrency`,
+  /// end - begin) pool tasks that share one IndexCursor; each task calls
+  /// `fn` once, and `fn` claims indices from the cursor until it is empty,
+  /// so per-task scratch lives across that task's claims.  At most
+  /// `max_concurrency` calls of `fn` are in flight even when the pool is
+  /// larger, and a slow index never pins the indices behind it.  Blocks
+  /// until every task is done and rethrows the first exception any threw.
+  /// One call of `fn` on the calling thread covers the whole range, in
+  /// order, when `max_concurrency` <= 1, the range has one index, the pool
+  /// has one worker, or the caller is itself a pool worker (nested
+  /// parallelism).
+  void parallel_for_capped(std::size_t begin, std::size_t end,
+                           std::size_t max_concurrency,
+                           const std::function<void(IndexCursor&)>& fn);
 
-  /// parallel_for with at most `max_concurrency` chunks — the mechanism
-  /// behind every user-facing `threads` knob: tasks submitted round-robin
-  /// occupy at most one worker per chunk, so the knob caps effective
-  /// concurrency even when the shared pool is larger.  `max_concurrency`
-  /// of 0 or 1 runs the whole range inline on the calling thread.
-  void parallel_for_capped(
-      std::size_t begin, std::size_t end, std::size_t max_concurrency,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// The entry point behind every user-facing `threads` knob: runs the
-  /// whole range inline — without instantiating the global pool — when
-  /// `max_concurrency` <= 1, otherwise fans out on the global pool via
-  /// parallel_for_capped.  Serial callers therefore never pay for idle
-  /// worker threads.
+  /// parallel_for_capped on the global pool, except that `max_concurrency`
+  /// <= 1 runs inline without instantiating it: serial callers never pay
+  /// for idle worker threads.
   static void run_capped(std::size_t begin, std::size_t end,
                          std::size_t max_concurrency,
-                         const std::function<void(std::size_t, std::size_t)>& fn);
+                         const std::function<void(IndexCursor&)>& fn);
 
   /// True when the calling thread is one of this pool's workers.
   static bool on_worker_thread();
 
   /// Process-wide pool, lazily created with `hardware_threads()` workers.
   static ThreadPool& global();
+
+  /// The global pool's counters; all zero, without creating the pool, when
+  /// nothing has used it yet.
+  static ThreadPoolStats global_stats();
 
   /// `std::thread::hardware_concurrency()` with a floor of 1.
   static std::size_t hardware_threads();

@@ -23,6 +23,7 @@
 #include "sim/sweep_shard.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
+#include "util/thread_pool.hpp"
 
 namespace seo {
 namespace {
@@ -335,6 +336,36 @@ TEST(SweepWorkers, CliByteIdentityAcrossWorkerAndThreadCounts) {
       }
     }
   }
+}
+
+// --stats describes the run's own thread cap: a serial run neither uses
+// nor creates the pool, and a capped run counts its busy share against the
+// cap, not the host's core count.
+TEST(SweepWorkers, CliStatsLineReportsTheEffectiveThreadCap) {
+  const std::string dir = ::testing::TempDir();
+  std::string base_args = std::string(SEO_SWEEP_TOOL);
+  for (const std::string& arg : tiny_sweep_args()) base_args += " " + arg;
+  const auto pool_line = [&](int threads) {
+    const std::string log =
+        dir + "/stats_t" + std::to_string(threads) + ".log";
+    const std::string cmd = base_args + " --threads " +
+                            std::to_string(threads) +
+                            " --stats --output /dev/null 2>" + log;
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    std::ifstream in(log);
+    std::string line;
+    while (std::getline(in, line))
+      if (line.rfind("thread pool: ", 0) == 0) return line;
+    ADD_FAILURE() << "no thread pool line in " << log;
+    return std::string();
+  };
+  EXPECT_EQ(pool_line(1).rfind("thread pool: 1 workers, 0 tasks, ", 0), 0u);
+  // Four points at cap 2: two tasks claim them (inline on a 1-CPU host,
+  // whose one-worker pool runs everything on the caller).
+  const std::string tasks = ThreadPool::hardware_threads() > 1 ? "2" : "0";
+  EXPECT_EQ(pool_line(2).rfind("thread pool: 2 workers, " + tasks + " tasks, ",
+                               0),
+            0u);
 }
 
 #endif  // SEO_SWEEP_TOOL

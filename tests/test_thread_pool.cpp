@@ -1,5 +1,6 @@
 // Tests for the parallel execution subsystem: the work-stealing pool itself
-// (submit futures, parallel_for coverage, exception propagation) and the
+// (submit futures, parallel_for_capped coverage and self-scheduling,
+// exception propagation) and the
 // serial-equivalence guarantees of its users — a DeadlineTable built with N
 // threads is bit-identical to the serial build, and a batched experiment
 // reproduces the serial aggregate exactly.
@@ -7,6 +8,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -30,44 +33,94 @@ TEST(ThreadPool, SubmitReturnsFutureValues) {
   EXPECT_EQ(b.get(), "ok");
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
+// Claims every index of `cursor` and counts each in `hits`.
+void hit_all(IndexCursor& cursor, std::vector<std::atomic<int>>& hits) {
+  for (std::size_t i = 0; cursor.claim(i);) hits[i].fetch_add(1);
+}
+
+TEST(ThreadPool, ParallelForCappedCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(997);
-  pool.parallel_for(0, hits.size(), 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
+  pool.parallel_for_capped(0, hits.size(), 4,
+                           [&](IndexCursor& cursor) { hit_all(cursor, hits); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForHandlesEmptyAndTinyRanges) {
+TEST(ThreadPool, ParallelForCappedHandlesEmptyAndTinyRanges) {
   ThreadPool pool(2);
   int calls = 0;
-  pool.parallel_for(5, 5, 1, [&](std::size_t, std::size_t) { ++calls; });
+  pool.parallel_for_capped(5, 5, 4, [&](IndexCursor&) { ++calls; });
   EXPECT_EQ(calls, 0);
-  std::atomic<int> sum{0};
-  pool.parallel_for(0, 1, 64, [&](std::size_t lo, std::size_t hi) {
-    sum += static_cast<int>(hi - lo);
+  std::vector<std::atomic<int>> hits(1);
+  pool.parallel_for_capped(0, 1, 4, [&](IndexCursor& cursor) {
+    ++calls;
+    hit_all(cursor, hits);
   });
-  EXPECT_EQ(sum.load(), 1);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(hits[0].load(), 1);
 }
 
-TEST(ThreadPool, ParallelForCappedBoundsChunkCountAndCoversRange) {
+TEST(ThreadPool, ParallelForCappedBoundsInFlightCallsAndCoversRange) {
   ThreadPool pool(8);
-  std::atomic<int> chunks{0};
-  std::vector<std::atomic<int>> hits(10);
-  pool.parallel_for_capped(0, hits.size(), 3,
-                           [&](std::size_t lo, std::size_t hi) {
-                             ++chunks;
-                             for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-                           });
-  EXPECT_LE(chunks.load(), 3);
+  std::atomic<int> calls{0};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> high_water{0};
+  std::vector<std::atomic<int>> hits(24);
+  pool.parallel_for_capped(0, hits.size(), 3, [&](IndexCursor& cursor) {
+    ++calls;
+    const int now = ++in_flight;
+    int seen = high_water.load();
+    while (seen < now && !high_water.compare_exchange_weak(seen, now)) {
+    }
+    for (std::size_t i = 0; cursor.claim(i);) {
+      // Long enough per index that the tasks' lifetimes overlap.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++hits[i];
+    }
+    --in_flight;
+  });
+  EXPECT_LE(high_water.load(), 3);
+  EXPECT_LE(calls.load(), 3);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 
-  // Cap of 1 (or 0) runs inline as a single chunk.
-  chunks = 0;
-  pool.parallel_for_capped(0, 10, 1,
-                           [&](std::size_t, std::size_t) { ++chunks; });
-  EXPECT_EQ(chunks.load(), 1);
+  // Cap of 1 (or 0) is one inline call that claims the whole range in order.
+  for (const std::size_t cap : {0, 1}) {
+    calls = 0;
+    std::vector<std::size_t> claimed;
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.parallel_for_capped(3, 10, cap, [&](IndexCursor& cursor) {
+      ++calls;
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      for (std::size_t i = 0; cursor.claim(i);) claimed.push_back(i);
+    });
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(claimed, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8, 9}));
+  }
+}
+
+// Self-scheduling: a task stuck on a slow index must not hold back the
+// indices behind it.  Index 0 waits for 1..3; a static split would park
+// index 1 behind index 0 in the same chunk, and the wait would time out.
+TEST(ThreadPool, RunCappedSlowIndexDoesNotPinItsNeighbours) {
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int others_done = 0;
+  bool timed_out = false;
+  pool.parallel_for_capped(0, 4, 2, [&](IndexCursor& cursor) {
+    for (std::size_t i = 0; cursor.claim(i);) {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (i == 0) {
+        timed_out = !cv.wait_for(lock, std::chrono::seconds(5),
+                                 [&] { return others_done == 3; });
+      } else {
+        ++others_done;
+        cv.notify_all();
+      }
+    }
+  });
+  EXPECT_FALSE(timed_out) << "index 0 pinned its neighbours";
+  EXPECT_EQ(others_done, 3);
 }
 
 TEST(ThreadPool, SubmittedExceptionSurfacesAtGet) {
@@ -78,30 +131,32 @@ TEST(ThreadPool, SubmittedExceptionSurfacesAtGet) {
   EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
 }
 
-TEST(ThreadPool, ParallelForRethrowsAndPoolSurvives) {
+TEST(ThreadPool, ParallelForCappedRethrowsAndPoolSurvives) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(0, 100, 1,
-                        [](std::size_t lo, std::size_t) {
-                          if (lo == 42) throw std::runtime_error("chunk 42");
-                        }),
-      std::runtime_error);
-  // All chunks joined, no worker died: the pool still completes work.
+  EXPECT_THROW(pool.parallel_for_capped(0, 100, 4,
+                                        [](IndexCursor& cursor) {
+                                          for (std::size_t i = 0;
+                                               cursor.claim(i);)
+                                            if (i == 42)
+                                              throw std::runtime_error("42");
+                                        }),
+               std::runtime_error);
+  // All tasks joined, no worker died: the pool still completes work.
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 10, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
+  pool.parallel_for_capped(0, 10, 4, [&](IndexCursor& cursor) {
+    for (std::size_t i = 0; cursor.claim(i);) sum += static_cast<int>(i);
   });
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(ThreadPool, NestedParallelForRunsInline) {
+TEST(ThreadPool, NestedParallelForCappedRunsInline) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.parallel_for(0, 4, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
+  pool.parallel_for_capped(0, 4, 2, [&](IndexCursor& outer) {
+    for (std::size_t i = 0; outer.claim(i);) {
       // Nested call from a worker must not deadlock.
-      pool.parallel_for(0, 8, 2, [&](std::size_t l2, std::size_t h2) {
-        total += static_cast<int>(h2 - l2);
+      pool.parallel_for_capped(0, 8, 2, [&](IndexCursor& inner) {
+        for (std::size_t j = 0; inner.claim(j);) ++total;
       });
     }
   });
@@ -109,8 +164,9 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
 }
 
 // The executed/busy counters are bumped after a task's result is published,
-// so a caller returning from get()/parallel_for can observe them mid-update;
-// wait for the bookkeeping to drain before asserting exact counts.
+// so a caller returning from get()/parallel_for_capped can observe them
+// mid-update; wait for the bookkeeping to drain before asserting exact
+// counts.
 ThreadPoolStats drained_stats(const ThreadPool& pool) {
   ThreadPoolStats stats = pool.stats();
   for (int i = 0; i < 2000 && stats.executed < stats.submitted; ++i) {
@@ -135,16 +191,15 @@ TEST(ThreadPool, StatsCountSubmittedAndExecuted) {
   EXPECT_GE(stats.busy_s, 0.0);
 }
 
-TEST(ThreadPool, StatsCountParallelForChunksAndReset) {
+TEST(ThreadPool, StatsCountParallelForCappedTasksAndReset) {
   ThreadPool pool(3);
-  std::atomic<int> hits{0};
-  pool.parallel_for(0, 100, 4, [&](std::size_t lo, std::size_t hi) {
-    hits.fetch_add(static_cast<int>(hi - lo));
-  });
-  EXPECT_EQ(hits.load(), 100);
+  std::vector<std::atomic<int>> hits(100);
+  pool.parallel_for_capped(0, hits.size(), 3,
+                           [&](IndexCursor& cursor) { hit_all(cursor, hits); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   ThreadPoolStats stats = drained_stats(pool);
-  EXPECT_GT(stats.submitted, 0u);
-  // Every chunk ran somewhere: a worker's own queue, a steal, or inline in
+  EXPECT_EQ(stats.submitted, 3u);
+  // Every task ran somewhere: a worker's own queue, a steal, or inline in
   // the waiting caller — executed accounts for all of them.
   EXPECT_EQ(stats.executed, stats.submitted);
   pool.reset_stats();

@@ -270,13 +270,15 @@ inline void print_artifact_store_stats(
 
 /// One greppable utilization line for the global thread pool, matching the
 /// artifact-store stats format (`--stats` in the sweep/fleet CLIs).
-/// `window_s` is the wall time the run took; busy % is task time over
-/// worker capacity in that window.
-inline void print_thread_pool_stats(std::ostream& out, double window_s) {
-  const ThreadPool& pool = ThreadPool::global();
-  const ThreadPoolStats s = pool.stats();
-  const double busy_pct = 100.0 * s.busy_fraction(window_s, pool.size());
-  out << "thread pool: " << pool.size() << " workers, " << s.submitted
+/// `workers` is the run's effective cap (resolve_threads of its --threads)
+/// and `window_s` the wall time it took; busy % is task time over that
+/// capacity.  Reading the counters never creates the pool, so a serial run
+/// reports 0 tasks without spawning idle workers.
+inline void print_thread_pool_stats(std::ostream& out, std::size_t workers,
+                                    double window_s) {
+  const ThreadPoolStats s = ThreadPool::global_stats();
+  const double busy_pct = 100.0 * s.busy_fraction(window_s, workers);
+  out << "thread pool: " << workers << " workers, " << s.submitted
       << " tasks, " << s.steals << " steals, " << s.inline_runs
       << " inline, " << s.max_queue_depth << " max depth, "
       << static_cast<std::uint64_t>(busy_pct + 0.5) << "% busy\n";

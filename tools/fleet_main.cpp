@@ -291,7 +291,8 @@ int main(int argc, char** argv) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         run_start)
               .count();
-      seo::cli::print_thread_pool_stats(std::cerr, run_s);
+      seo::cli::print_thread_pool_stats(
+          std::cerr, ThreadPool::resolve_threads(threads), run_s);
     }
 
     if (output.empty()) {

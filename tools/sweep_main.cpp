@@ -333,7 +333,9 @@ int main(int argc, char** argv) {
     // actually hit, and operators see what a cold run cost.  In parent
     // mode the printed rows are the farm-wide sums from the done frames.
     seo::cli::print_artifact_store_stats(std::cerr, worker_stats);
-    if (show_pool_stats) seo::cli::print_thread_pool_stats(std::cerr, run_s);
+    if (show_pool_stats)
+      seo::cli::print_thread_pool_stats(
+          std::cerr, ThreadPool::resolve_threads(config.threads), run_s);
     if (output.empty()) {
       std::cout << report.str();
     } else {
