@@ -15,6 +15,7 @@
 #include "control/neural_policy.hpp"
 #include "core/binary_io.hpp"
 #include "dynamics/bicycle.hpp"
+#include "dynamics/road.hpp"
 #include "nn/cem.hpp"
 #include "nn/mlp.hpp"
 #include "nn/weights_store.hpp"
@@ -138,6 +139,22 @@ void BM_SafetyFilterEngaged(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SafetyFilterEngaged);
+
+// The sweep's real engaged case: a road-aware filter (candidates leaving
+// the band are penalized) closing on an 8-obstacle field.
+void BM_SafetyFilterEngagedRoad(benchmark::State& state) {
+  const Barrier barrier{BarrierConfig{}};
+  const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, barrier,
+                            Road{});
+  ObstacleField field;
+  for (int i = 0; i < 8; ++i)
+    field.push_back(Obstacle{{18.0 + 4.0 * i, (i % 2) ? 1.4 : -1.1}, 0.8});
+  const VehicleState s = test_state();  // 8 m short of the first obstacle
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(filter.filter(s, field, Control{0.0, 0.4}));
+  }
+}
+BENCHMARK(BM_SafetyFilterEngagedRoad);
 
 void BM_DetectorInference(benchmark::State& state) {
   SyntheticDetector detector(DetectorConfig{}, Rng(7));

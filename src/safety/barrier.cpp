@@ -1,7 +1,7 @@
 #include "safety/barrier.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/expect.hpp"
 
@@ -33,8 +33,8 @@ double Barrier::value(const VehicleState& state,
   return clearance - config_.margin * g;
 }
 
-double Barrier::value(const VehicleState& state,
-                      const ObstacleField& field) const {
+double Barrier::value(const VehicleState& state, const ObstacleField& field,
+                      double cap) const {
   // SoA kernel over the field's parallel arrays, bit-identical to folding
   // the per-obstacle `value()` in index order:
   //
@@ -46,6 +46,12 @@ double Barrier::value(const VehicleState& state,
   // monotone multiply/add) preserves the bound.  When lb_i >= running min m
   // we have h_i >= m, so min(m, h_i) == m and the atan2/wrap/cos for this
   // obstacle can be skipped without changing a single output bit.
+  //
+  // Capped fold: the running min starts at `cap` instead of +inf.
+  // std::min keeps its first argument on ties and ignores a NaN second
+  // argument, so folding [cap, h_0, .., h_n-1] returns exactly
+  // std::min(cap, fold[h_0, .., h_n-1]) — and the trig skip above now
+  // prunes against the caller's bound from the first obstacle on.
   const std::size_t n = field.size();
   const double* xs = field.xs().data();
   const double* ys = field.ys().data();
@@ -53,7 +59,7 @@ double Barrier::value(const VehicleState& state,
   const double px = state.position.x;
   const double py = state.position.y;
   const double worst_g = 1.0 + config_.heading_gain;
-  double h = std::numeric_limits<double>::infinity();
+  double h = cap;
   for (std::size_t i = 0; i < n; ++i) {
     const double dx = px - xs[i];
     const double dy = py - ys[i];

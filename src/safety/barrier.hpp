@@ -13,6 +13,8 @@
 // requires only `margin`.  h >= 0 defines the safe set (S = 1).
 #pragma once
 
+#include <limits>
+
 #include "dynamics/obstacle.hpp"
 #include "dynamics/types.hpp"
 
@@ -35,7 +37,14 @@ class Barrier {
 
   /// h with respect to a whole field: min over obstacles
   /// (+infinity when the field is empty — vacuously safe).
-  double value(const VehicleState& state, const ObstacleField& field) const;
+  ///
+  /// `cap` seeds the fold, so the result is exactly
+  /// `std::min(cap, value(state, field))`, bit for bit.  A caller that only
+  /// needs h below a running minimum (a rollout's worst case so far) or
+  /// below a threshold (the sign test `value(.., 0.0) < 0.0`) passes it as
+  /// the cap: obstacles that provably cannot undercut it skip their trig.
+  double value(const VehicleState& state, const ObstacleField& field,
+               double cap = std::numeric_limits<double>::infinity()) const;
 
   /// Binary safety state S of eq. (1): S = 1 iff h >= 0.
   bool safe(const VehicleState& state, const ObstacleField& field) const {

@@ -8,10 +8,27 @@
 // worst-case barrier value over the prediction horizon (optionally adding
 // brake assistance).  Only the steering dimension is filtered, exactly like
 // the paper's controller shield for steering angle outputs.
+//
+// The search is an exact branch-and-bound that returns the same bits as
+// rolling every candidate out to the horizon and keeping the first
+// strictly best score:
+//
+//  * The raw rollout stops as soon as its running min h drops below the
+//    engage margin — min h never rises, so the call engages either way.
+//  * Candidates are advanced best-first: one step at a time, always the
+//    candidate whose partial score is highest (ties to the lowest grid
+//    index).  A partial score bounds the final one from above in floating
+//    point — min h never rises, the road violation never falls, and every
+//    operation of the score is monotone under rounding — so the first
+//    candidate to reach the horizon is the exhaustive search's argmax.
+//  * Each step folds the barrier with the running min h as its cap
+//    (Barrier::value), so obstacles that cannot lower it skip their trig.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "dynamics/bicycle.hpp"
 #include "dynamics/obstacle.hpp"
@@ -59,6 +76,8 @@ class SafetyFilter {
 
   /// Filters a raw control: returns it unchanged when its rollout stays
   /// clear of the barrier, otherwise substitutes the corrective action.
+  /// Allocation-free: the search scratch is sized at construction, so (like
+  /// the engagement counter) a filter serves one caller at a time.
   FilterDecision filter(const VehicleState& state, const ObstacleField& field,
                         const Control& raw) const;
 
@@ -66,22 +85,33 @@ class SafetyFilter {
   std::uint64_t engagements() const { return engagements_; }
 
  private:
-  struct RolloutEval {
-    double min_h = 0.0;           ///< worst barrier value along the rollout
-    double road_violation = 0.0;  ///< worst off-road excursion [m]
+  /// One corrective candidate's partial rollout.
+  struct Candidate {
+    Control control{};
+    HeldControl held{};           ///< set on the first step
+    VehicleState state{};
+    double min_h = 0.0;           ///< worst barrier value so far
+    double road_violation = 0.0;  ///< worst off-road excursion so far [m]
+    double steer_cost = 0.0;      ///< distance-to-raw tie-break term
+    double brake_cost = 0.0;      ///< brake-assist tie-break term
+    double bound = 0.0;           ///< score() of the partial rollout
+    int steps = 0;                ///< rollout steps taken
   };
 
-  /// Worst-case barrier value and road excursion along a rollout of
-  /// `control` held for the horizon.  `h_start` is the barrier value at
-  /// `state` (already known by every caller, so it is never recomputed).
-  RolloutEval rollout(const VehicleState& state, const ObstacleField& field,
-                      const Control& control, double h_start) const;
+  /// The corrective score; of a partial rollout, an upper bound on the
+  /// score of the full one.
+  double score(const Candidate& c) const;
+  /// Advances a candidate by one rollout step and refreshes its bound.
+  void advance(Candidate& c, const ObstacleField& field) const;
 
   SafetyFilterConfig config_;
   BicycleModel model_;
   Barrier barrier_;
   std::optional<Road> road_;
+  int steps_ = 0;  ///< rollout steps per horizon
   mutable std::uint64_t engagements_ = 0;
+  mutable std::vector<Candidate> candidates_;   ///< in grid order
+  mutable std::vector<std::size_t> frontier_;  ///< max-heap of live indices
 };
 
 }  // namespace seo

@@ -14,9 +14,11 @@
 
 #include "control/neural_policy.hpp"
 #include "dynamics/obstacle.hpp"
+#include "dynamics/road.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "safety/barrier.hpp"
+#include "safety/safety_filter.hpp"
 #include "sim/world.hpp"
 #include "util/rng.hpp"
 
@@ -131,6 +133,30 @@ TEST(HotPathAllocations, BarrierFieldMinIsAllocationFree) {
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "SoA min-over-obstacles kernel allocated";
   EXPECT_TRUE(std::isfinite(h));
+}
+
+TEST(HotPathAllocations, SafetyFilterEngagedCallIsAllocationFree) {
+  // The corrective search keeps every candidate's partial rollout in
+  // scratch sized at construction: an engaged call allocates nothing.
+  ObstacleField field;
+  for (int i = 0; i < 8; ++i)
+    field.push_back(Obstacle{{6.0 + 2.5 * i, (i % 2) ? 1.2 : -1.0}, 0.8});
+  const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, Barrier{},
+                            Road{});
+  VehicleState state;
+  state.position = {0.0, 0.0};
+  state.heading = 0.02;
+  state.speed = 10.0;
+  const Control raw{0.0, 0.5};
+  ASSERT_TRUE(filter.filter(state, field, raw).engaged);  // warm-up
+
+  const std::uint64_t before = g_allocations.load();
+  bool engaged = true;
+  for (int i = 0; i < 200; ++i)
+    engaged = filter.filter(state, field, raw).engaged && engaged;
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "engaged SafetyFilter::filter allocated";
+  EXPECT_TRUE(engaged);
 }
 
 TEST(HotPathAllocations, ObstacleWithinIntoReusesCapacity) {

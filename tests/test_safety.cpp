@@ -3,11 +3,16 @@
 // table T(x,u).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "dynamics/road.hpp"
 #include "safety/barrier.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
@@ -24,6 +29,18 @@ VehicleState state_at(double x, double y, double heading, double speed) {
   s.heading = heading;
   s.speed = speed;
   return s;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// `count` obstacles ahead of a vehicle near the origin, some close enough
+/// to engage the filter or cross the barrier within a rollout.
+ObstacleField random_field(Rng& rng, int count) {
+  ObstacleField field;
+  for (int i = 0; i < count; ++i)
+    field.push_back(Obstacle{{rng.uniform(2.0, 30.0), rng.uniform(-5.0, 5.0)},
+                             rng.uniform(0.4, 2.0)});
+  return field;
 }
 
 TEST(Barrier, FartherIsSafer) {
@@ -94,6 +111,58 @@ TEST(Barrier, SoAFieldKernelMatchesScalarFacadeBitExactly) {
   }
 }
 
+TEST(Barrier, CappedFoldIsMinOfCapAndValueBitExactly) {
+  // value(s, field, cap) seeds the fold with `cap`; it must equal
+  // std::min(cap, value(s, field)) bit for bit — signed zeros included —
+  // so a rollout can pass its running min as the cap.
+  Rng rng(53);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 400; ++trial) {
+    BarrierConfig config;
+    config.heading_gain = rng.uniform(0.0, 3.0);
+    const Barrier barrier{config};
+    const ObstacleField field = random_field(rng, rng.uniform_int(0, 8));
+    const VehicleState s =
+        state_at(rng.uniform(-2.0, 12.0), rng.uniform(-4.0, 4.0),
+                 rng.uniform(-3.2, 3.2), rng.uniform(0.0, 12.0));
+    const double h = barrier.value(s, field);
+    for (const double cap :
+         {inf, 0.0, -0.0, h, rng.uniform(-5.0, 5.0), -inf}) {
+      EXPECT_EQ(bits(barrier.value(s, field, cap)), bits(std::min(cap, h)))
+          << "trial " << trial << " cap " << cap;
+    }
+  }
+}
+
+/// Reference phi march: re-derives the control every step and folds the
+/// barrier uncapped.
+double reference_crossing_time(const BicycleModel& model,
+                               const Barrier& barrier,
+                               const RolloutIntervalConfig& config,
+                               const VehicleState& s, const Control& u,
+                               const ObstacleField& field) {
+  if (barrier.value(s, field) < 0.0) return 0.0;
+  VehicleState prev = s;
+  double t = 0.0;
+  while (t < config.horizon_s) {
+    const VehicleState next = model.step_euler(prev, u, config.step_s);
+    if (barrier.value(next, field) < 0.0) {
+      double lo = 0.0, hi = config.step_s;
+      for (int i = 0; i < config.bisection_iters; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        if (barrier.value(model.step_euler(prev, u, mid), field) < 0.0)
+          hi = mid;
+        else
+          lo = mid;
+      }
+      return t + lo;
+    }
+    prev = next;
+    t += config.step_s;
+  }
+  return config.horizon_s;
+}
+
 TEST(RolloutInterval, HeldControlMatchesPerStepClampBitExactly) {
   // evaluate() holds the control once (clamp + slip angle hoisted out of
   // the march); re-marching with the per-step Control overload must land on
@@ -116,37 +185,40 @@ TEST(RolloutInterval, HeldControlMatchesPerStepClampBitExactly) {
     const Control u{rng.uniform(-0.2, 0.2), rng.uniform(-1.0, 1.0)};
     const SafeInterval got = rollout.evaluate(s, u, field);
     if (!got.constrained) continue;
-
-    // Reference: the pre-HeldControl march, stepping with the raw control.
-    double expected = config.horizon_s;
-    if (barrier.value(s, field) < 0.0) {
-      expected = 0.0;
-    } else {
-      VehicleState prev = s;
-      double t = 0.0;
-      bool crossed = false;
-      while (t < config.horizon_s) {
-        const VehicleState next = model.step_euler(prev, u, config.step_s);
-        if (barrier.value(next, field) < 0.0) {
-          double lo = 0.0, hi = config.step_s;
-          for (int i = 0; i < config.bisection_iters; ++i) {
-            const double mid = 0.5 * (lo + hi);
-            if (barrier.value(model.step_euler(prev, u, mid), field) < 0.0)
-              hi = mid;
-            else
-              lo = mid;
-          }
-          expected = t + lo;
-          crossed = true;
-          break;
-        }
-        prev = next;
-        t += config.step_s;
-      }
-      if (!crossed) expected = config.horizon_s;
-    }
-    EXPECT_EQ(got.delta_max_s, expected) << "trial " << trial;
+    EXPECT_EQ(got.delta_max_s,
+              reference_crossing_time(model, barrier, config, s, u, field))
+        << "trial " << trial;
   }
+}
+
+TEST(RolloutInterval, CappedSignTestsMatchUncappedMarch) {
+  // evaluate() folds the barrier capped at 0 — every test it makes is a
+  // sign test — so its crossing times must match the uncapped march bit
+  // for bit, across dense fields, states already inside the barrier and
+  // controls beyond the actuator limits.
+  Rng rng(54);
+  const BicycleModel model{};
+  int crossed = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    BarrierConfig barrier_config;
+    barrier_config.heading_gain = rng.uniform(0.0, 2.0);
+    const Barrier barrier{barrier_config};
+    RolloutIntervalConfig config;
+    config.bisection_iters = rng.uniform_int(0, 12);
+    const RolloutSafeInterval rollout(config, model, barrier);
+    const ObstacleField field = random_field(rng, rng.uniform_int(0, 8));
+    const VehicleState s =
+        state_at(rng.uniform(-2.0, 6.0), rng.uniform(-3.0, 3.0),
+                 rng.uniform(-0.6, 0.6), rng.uniform(0.0, 14.0));
+    const Control u{rng.uniform(-0.7, 0.7), rng.uniform(-1.2, 1.2)};
+    const SafeInterval got = rollout.evaluate(s, u, field);
+    if (!got.constrained) continue;
+    const double expected =
+        reference_crossing_time(model, barrier, config, s, u, field);
+    if (expected < config.horizon_s) ++crossed;
+    EXPECT_EQ(bits(got.delta_max_s), bits(expected)) << "trial " << trial;
+  }
+  EXPECT_GT(crossed, 50);  // the crossing/bisection path is exercised
 }
 
 TEST(Barrier, SafeIffNonNegative) {
@@ -277,6 +349,207 @@ TEST(SafetyFilter, ConfigContracts) {
   bad.horizon_s = 0.0;
   EXPECT_THROW(SafetyFilter(bad, BicycleModel{}, Barrier{BarrierConfig{}}),
                ContractViolation);
+}
+
+/// The exhaustive corrective search the filter's branch-and-bound must
+/// reproduce: every rollout runs the full horizon (the raw one included),
+/// all candidates are scored, and the first strictly best one wins.
+class ExhaustiveFilter {
+ public:
+  ExhaustiveFilter(SafetyFilterConfig config, BicycleModel model,
+                   Barrier barrier, std::optional<Road> road)
+      : config_(config), model_(model), barrier_(barrier), road_(road) {}
+
+  FilterDecision filter(const VehicleState& state, const ObstacleField& field,
+                        const Control& raw) {
+    FilterDecision decision;
+    decision.h_now = barrier_.value(state, field);
+    decision.control = model_.clamp(raw);
+    const double margin_eff =
+        config_.engage_margin *
+        std::clamp(state.speed / config_.speed_ref,
+                   config_.min_margin_factor, 1.0);
+    const Eval raw_eval = rollout(state, field, decision.control,
+                                  decision.h_now);
+    if (raw_eval.min_h >= margin_eff) {
+      decision.h_predicted = raw_eval.min_h;
+      return decision;
+    }
+    ++engagements;
+    decision.engaged = true;
+    const double max_steer = model_.params().max_steer;
+    double best_score = -std::numeric_limits<double>::infinity();
+    Control best = decision.control;
+    const int n = config_.steering_candidates;
+    for (int i = 0; i < n; ++i) {
+      const double steer =
+          -max_steer + 2.0 * max_steer * static_cast<double>(i) /
+                           static_cast<double>(n - 1);
+      for (int brake = 0; brake < (config_.brake_assist ? 2 : 1); ++brake) {
+        Control candidate;
+        candidate.steering = steer;
+        candidate.throttle =
+            brake == 0 ? decision.control.throttle : config_.brake_throttle;
+        const Eval eval = rollout(state, field, candidate, decision.h_now);
+        const double score =
+            eval.min_h - config_.off_road_penalty * eval.road_violation -
+            1e-3 * std::abs(steer - raw.steering) -
+            (brake == 1 ? 1e-4 : 0.0);
+        if (score > best_score) {
+          best_score = score;
+          best = candidate;
+          decision.h_predicted = eval.min_h;
+        }
+      }
+    }
+    decision.control = best;
+    return decision;
+  }
+
+  std::uint64_t engagements = 0;
+
+ private:
+  struct Eval {
+    double min_h = 0.0;
+    double road_violation = 0.0;
+  };
+
+  Eval rollout(const VehicleState& state, const ObstacleField& field,
+               const Control& control, double h_start) const {
+    Eval eval;
+    eval.min_h = h_start;
+    VehicleState s = state;
+    const int steps =
+        static_cast<int>(std::ceil(config_.horizon_s / config_.step_s));
+    for (int i = 0; i < steps; ++i) {
+      s = model_.step_euler(s, control, config_.step_s);
+      eval.min_h = std::min(eval.min_h, barrier_.value(s, field));
+      if (road_) {
+        const double margin = road_->boundary_margin(s.position);
+        if (margin < 0.0)
+          eval.road_violation = std::max(eval.road_violation, -margin);
+      }
+    }
+    return eval;
+  }
+
+  SafetyFilterConfig config_;
+  BicycleModel model_;
+  Barrier barrier_;
+  std::optional<Road> road_;
+};
+
+TEST(SafetyFilter, BranchAndBoundMatchesExhaustiveSearchBitExactly) {
+  // The best-first search prunes rollouts that provably cannot win; it must
+  // return the exhaustive search's decision bit for bit, over random
+  // states and fields and over every grid shape the search enumerates.
+  // Mirrored fields ahead of a centered vehicle with zero raw steering make
+  // the +-steer candidates tie exactly, so the lowest-index rule is tested.
+  Rng rng(55);
+  int calls = 0;
+  int engaged = 0;
+  int mirrored_engaged = 0;
+  for (const int candidates : {3, 17, 33}) {
+    for (const bool brake_assist : {false, true}) {
+      for (const bool with_road : {false, true}) {
+        SafetyFilterConfig config;
+        config.steering_candidates = candidates;
+        config.brake_assist = brake_assist;
+        const std::optional<Road> road =
+            with_road ? std::optional<Road>(Road(RoadParams{100.0, 3.5}))
+                      : std::nullopt;
+        const Barrier barrier{BarrierConfig{}};
+        const SafetyFilter filter(config, BicycleModel{}, barrier, road);
+        ExhaustiveFilter oracle(config, BicycleModel{}, barrier, road);
+        for (int trial = 0; trial < 260; ++trial) {
+          const bool mirrored = trial % 4 == 0;
+          ObstacleField field;
+          VehicleState s;
+          Control raw;
+          if (mirrored) {
+            const double x = rng.uniform(4.0, 14.0);
+            const double r = rng.uniform(0.4, 1.5);
+            if (trial % 8 == 0) {
+              field.push_back(Obstacle{{x, 0.0}, r});
+            } else {
+              const double y = rng.uniform(0.5, 3.0);
+              field.push_back(Obstacle{{x, y}, r});
+              field.push_back(Obstacle{{x, -y}, r});
+            }
+            s = state_at(0.0, 0.0, 0.0, rng.uniform(5.0, 13.0));
+            raw = Control{0.0, rng.uniform(-1.0, 1.0)};
+          } else {
+            field = random_field(rng, rng.uniform_int(0, 8));
+            s = state_at(rng.uniform(-2.0, 4.0), rng.uniform(-3.5, 3.5),
+                         rng.uniform(-0.5, 0.5), rng.uniform(0.0, 14.0));
+            raw = Control{rng.uniform(-0.7, 0.7), rng.uniform(-1.2, 1.2)};
+          }
+          const FilterDecision got = filter.filter(s, field, raw);
+          const FilterDecision want = oracle.filter(s, field, raw);
+          ++calls;
+          if (want.engaged) {
+            ++engaged;
+            if (mirrored) ++mirrored_engaged;
+          }
+          EXPECT_EQ(got.engaged, want.engaged) << "call " << calls;
+          EXPECT_EQ(bits(got.control.steering), bits(want.control.steering))
+              << "call " << calls;
+          EXPECT_EQ(bits(got.control.throttle), bits(want.control.throttle))
+              << "call " << calls;
+          EXPECT_EQ(bits(got.h_now), bits(want.h_now)) << "call " << calls;
+          EXPECT_EQ(bits(got.h_predicted), bits(want.h_predicted))
+              << "call " << calls;
+        }
+        EXPECT_EQ(filter.engagements(), oracle.engagements);
+      }
+    }
+  }
+  // Both paths are exercised in bulk, the exact ties included.
+  EXPECT_GT(engaged, calls / 4);
+  EXPECT_LT(engaged, calls);
+  EXPECT_GT(mirrored_engaged, 100);
+}
+
+TEST(SafetyFilter, NonFiniteScoresResolveLikeExhaustiveSearch) {
+  // NaN or -inf scores never win the exhaustive `score > best_score` loop;
+  // when no candidate wins it keeps the clamped raw control and
+  // h_predicted = 0.  The branch-and-bound must drop such candidates and
+  // land on the same bits: a NaN or infinite raw steer (NaN / infinite
+  // tie-break term), an infinite off-road penalty (inf * 0 = NaN), and a
+  // NaN speed on an empty field (NaN engage margin, every score +inf).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Close enough that h_now is already below the engage margin: NaN
+  // rollout states never lower min h, so the raw rollout cannot engage.
+  const ObstacleField ahead({Obstacle{{3.5, 0.3}, 1.0}});
+  const ObstacleField ahead_at_edge({Obstacle{{3.5, 2.5}, 1.0}});
+  struct Case {
+    double off_road_penalty;
+    VehicleState state;
+    ObstacleField field;
+    Control raw;
+  };
+  const Case cases[] = {
+      {2.0, state_at(0, 0, 0, 10), ahead, Control{nan, 0.5}},
+      {2.0, state_at(0, 0, 0, 10), ahead, Control{inf, 0.5}},
+      {2.0, state_at(0, 0, 0, 10), ahead, Control{-inf, nan}},
+      {inf, state_at(0, 2.5, 0, 10), ahead_at_edge, Control{0.0, 0.5}},
+      {2.0, state_at(0, 0, 0, nan), ObstacleField{}, Control{0.1, 0.5}},
+  };
+  for (const Case& c : cases) {
+    SafetyFilterConfig config;
+    config.off_road_penalty = c.off_road_penalty;
+    const Road road(RoadParams{100.0, 3.0});
+    const SafetyFilter filter(config, BicycleModel{}, Barrier{}, road);
+    ExhaustiveFilter oracle(config, BicycleModel{}, Barrier{}, road);
+    const FilterDecision got = filter.filter(c.state, c.field, c.raw);
+    const FilterDecision want = oracle.filter(c.state, c.field, c.raw);
+    ASSERT_TRUE(want.engaged);
+    EXPECT_TRUE(got.engaged);
+    EXPECT_EQ(bits(got.control.steering), bits(want.control.steering));
+    EXPECT_EQ(bits(got.control.throttle), bits(want.control.throttle));
+    EXPECT_EQ(bits(got.h_predicted), bits(want.h_predicted));
+  }
 }
 
 // --- Safe-interval evaluators ----------------------------------------------

@@ -54,7 +54,9 @@ DEFAULT_NAMES = [
     "BM_DeadlineTableProbe",
     "BM_LipschitzInterval",
     "BM_MlpForwardWorkspace",
+    "BM_RolloutInterval",
     "BM_RolloutPhiCache",
+    "BM_SafetyFilterEngaged",
     "BM_SafetyFilterPass",
     "BM_TraceStreamRead",
     "BM_TraceStreamWrite",
