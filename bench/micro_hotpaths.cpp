@@ -116,17 +116,40 @@ void BM_DeadlineTableProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_DeadlineTableProbe);
 
+// A pass the certificate proves: no raw rollout.
 void BM_SafetyFilterPass(benchmark::State& state) {
   const Barrier barrier{BarrierConfig{}};
   const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, barrier);
   const ObstacleField field = test_field();
   VehicleState s = test_state();
   s.position = {0.0, 0.0};  // far from obstacles: pass-through path
+  const Control raw{0.0, 0.4};
+  if (!filter.certifies_pass(s, field, raw))
+    state.SkipWithError("expected a certified pass");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.filter(s, field, Control{0.0, 0.4}));
+    benchmark::DoNotOptimize(filter.filter(s, field, raw));
   }
 }
 BENCHMARK(BM_SafetyFilterPass);
+
+// A pass the certificate cannot prove: an obstacle beside the lane lies
+// within the reach bound, so the raw rollout runs its full horizon.
+void BM_SafetyFilterPassNear(benchmark::State& state) {
+  const Barrier barrier{BarrierConfig{}};
+  const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, barrier);
+  ObstacleField field = test_field();
+  field.push_back(Obstacle{{15.0, 4.8}, 0.8});
+  VehicleState s = test_state();
+  s.heading = 0.0;
+  const Control raw{0.0, 0.4};
+  if (filter.certifies_pass(s, field, raw) ||
+      filter.filter(s, field, raw).engaged)
+    state.SkipWithError("expected an uncertified pass");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(filter.filter(s, field, raw));
+  }
+}
+BENCHMARK(BM_SafetyFilterPassNear);
 
 void BM_SafetyFilterEngaged(benchmark::State& state) {
   const Barrier barrier{BarrierConfig{}};
@@ -607,4 +630,13 @@ BENCHMARK(BM_FullEpisode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Provenance of the timed code, read back by tools/bench_to_json.py.
+  benchmark::AddCustomContext("seo_build_type", SEO_BUILD_TYPE);
+  benchmark::AddCustomContext("seo_compiler", SEO_COMPILER);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/expect.hpp"
 
@@ -33,6 +34,54 @@ double Barrier::value(const VehicleState& state,
   return clearance - config_.margin * g;
 }
 
+namespace {
+
+// Slack of value_and_floor: 2^-40 is thousands of unit roundoffs
+// (u = 2^-53), far above the few dozen roundings the proof charges to each
+// magnitude; the absolute nanometre covers underflow in the squares
+// (below 1e-150 m).
+constexpr double kRelSlack = 0x1p-40;
+constexpr double kAbsSlack = 1e-9;
+
+// The SoA min-fold behind value(state, field, cap) and value_and_floor();
+// the proofs sit with those two.  With kFloor it also folds
+// min_i(lb_i - kRelSlack * (d_i + |r_i|)) into `lo` and clears `finite`
+// when one of those terms is not finite; the fold of h is the same either
+// way.
+template <bool kFloor>
+double fold_field(const BarrierConfig& config, const VehicleState& state,
+                  const ObstacleField& field, double cap, double& lo,
+                  bool& finite) {
+  const std::size_t n = field.size();
+  const double* xs = field.xs().data();
+  const double* ys = field.ys().data();
+  const double* radii = field.radii().data();
+  const double px = state.position.x;
+  const double py = state.position.y;
+  const double worst_g = 1.0 + config.heading_gain;
+  double h = cap;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dx = px - xs[i];
+    const double dy = py - ys[i];
+    const double dist = std::sqrt(dx * dx + dy * dy);
+    const double clearance = dist - radii[i] - config.body_radius;
+    const double lb = clearance - config.margin * worst_g;
+    if constexpr (kFloor) {
+      const double term = lb - kRelSlack * (dist + std::abs(radii[i]));
+      lo = std::min(lo, term);
+      finite = finite && std::isfinite(term);
+    }
+    if (lb >= h) continue;
+    const double chi =
+        wrap_angle(std::atan2(ys[i] - py, xs[i] - px) - state.heading);
+    const double g = 1.0 + config.heading_gain * (1.0 + std::cos(chi)) * 0.5;
+    h = std::min(h, clearance - config.margin * g);
+  }
+  return h;
+}
+
+}  // namespace
+
 double Barrier::value(const VehicleState& state, const ObstacleField& field,
                       double cap) const {
   // SoA kernel over the field's parallel arrays, bit-identical to folding
@@ -52,26 +101,58 @@ double Barrier::value(const VehicleState& state, const ObstacleField& field,
   // argument, so folding [cap, h_0, .., h_n-1] returns exactly
   // std::min(cap, fold[h_0, .., h_n-1]) — and the trig skip above now
   // prunes against the caller's bound from the first obstacle on.
-  const std::size_t n = field.size();
-  const double* xs = field.xs().data();
-  const double* ys = field.ys().data();
-  const double* radii = field.radii().data();
-  const double px = state.position.x;
-  const double py = state.position.y;
-  const double worst_g = 1.0 + config_.heading_gain;
-  double h = cap;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = px - xs[i];
-    const double dy = py - ys[i];
-    const double clearance =
-        std::sqrt(dx * dx + dy * dy) - radii[i] - config_.body_radius;
-    if (clearance - config_.margin * worst_g >= h) continue;
-    const double chi =
-        wrap_angle(std::atan2(ys[i] - py, xs[i] - px) - state.heading);
-    const double g = 1.0 + config_.heading_gain * (1.0 + std::cos(chi)) * 0.5;
-    h = std::min(h, clearance - config_.margin * g);
+  double lo = 0.0;
+  bool finite = true;
+  return fold_field<false>(config_, state, field, cap, lo, finite);
+}
+
+Barrier::ValueAndFloor Barrier::value_and_floor(const VehicleState& state,
+                                                const ObstacleField& field,
+                                                double reach) const {
+  // The floor is the trig-skip bound made to hold over a disc.  Write
+  // u = 2^-53, D_i = |p - o_i| (exact), L_i(p) = D_i - r_i - body - W with
+  // W = fl(margin * (1 + heading_gain)), and lb_i(p) for the kernel's
+  // rounded L_i — a lower bound on its h_i (see value()), so on the
+  // capped fold too unless the cap is lower.
+  //
+  //  * Kernel error.  The difference, squares, sum and sqrt leave the
+  //    computed d_i within 4u*D_i of D_i, and each of the three
+  //    subtractions adds u times its result, so for finite terms
+  //    |lb_i(p) - L_i(p)| <= 8u*(D_i + |r_i| + body + W), plus under
+  //    kAbsSlack/2 when a square underflows.  An overflowing square only
+  //    raises d_i; a position or term that overflows to +inf or NaN never
+  //    lowers the fold (std::min drops a NaN second argument).
+  //  * Lipschitz step.  L_i is 1-Lipschitz in p, so for |p' - p| <= reach
+  //    and D_i' <= D_i + reach:
+  //      lb_i(p') >= lb_i(p) - reach - 16u*(D_i + |r_i| + body + W)
+  //                  - 8u*reach - kAbsSlack.
+  //  * Folding.  term_i = lb_i - kRelSlack*(d_i + |r_i|), rounded, absorbs
+  //    the per-obstacle part (kRelSlack >> 18u, D_i <= d_i*(1 + 4u));
+  //    lo = min_i term_i.  The floor lo - reach - slack, with
+  //    slack = kRelSlack*(reach + body + W + |lo|) + kAbsSlack, absorbs the
+  //    rest together with its own three roundings (each within u of
+  //    |lo| + reach + slack).
+  //
+  // So value(s', field) >= floor for every such s'.  A non-finite term
+  // leaves nothing to bound it with, and fails the floor instead.
+  double lo = std::numeric_limits<double>::infinity();
+  bool finite = true;
+  ValueAndFloor out;
+  out.value = fold_field<true>(config_, state, field,
+                               std::numeric_limits<double>::infinity(), lo,
+                               finite);
+  if (!(reach >= 0.0) || !finite) {
+    out.floor = std::numeric_limits<double>::quiet_NaN();
+  } else if (field.empty()) {
+    out.floor = std::numeric_limits<double>::infinity();
+  } else {
+    const double worst = config_.margin * (1.0 + config_.heading_gain);
+    const double slack =
+        kRelSlack * (reach + config_.body_radius + worst + std::abs(lo)) +
+        kAbsSlack;
+    out.floor = lo - reach - slack;
   }
-  return h;
+  return out;
 }
 
 }  // namespace seo

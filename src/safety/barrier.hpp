@@ -46,6 +46,20 @@ class Barrier {
   double value(const VehicleState& state, const ObstacleField& field,
                double cap = std::numeric_limits<double>::infinity()) const;
 
+  /// `value(state, field)` and, from the same pass over the field, a floor
+  /// over a disc: every state whose position lies within `reach` metres of
+  /// `state.position` (any heading, any cap) has value(.., field) >= floor,
+  /// in floating point.  The floor is NaN when it cannot be proved (a
+  /// negative or NaN reach, a non-finite obstacle term) and +inf for an
+  /// empty field.
+  struct ValueAndFloor {
+    double value = 0.0;
+    double floor = 0.0;
+  };
+  ValueAndFloor value_and_floor(const VehicleState& state,
+                                const ObstacleField& field,
+                                double reach) const;
+
   /// Binary safety state S of eq. (1): S = 1 iff h >= 0.
   bool safe(const VehicleState& state, const ObstacleField& field) const {
     return value(state, field) >= 0.0;

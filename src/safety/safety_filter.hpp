@@ -9,10 +9,16 @@
 // brake assistance).  Only the steering dimension is filtered, exactly like
 // the paper's controller shield for steering angle outputs.
 //
-// The search is an exact branch-and-bound that returns the same bits as
-// rolling every candidate out to the horizon and keeping the first
-// strictly best score:
+// The filter returns the same bits as rolling the raw control and every
+// candidate out to the horizon and keeping the first strictly best score:
 //
+//  * Pass certificate: a reach bound (how far any Euler step sequence of
+//    the raw control can carry the vehicle, from the start speed, the
+//    throttle's acceleration and max_speed) widens the barrier's
+//    trig-skip bound into a floor over a disc (Barrier::value_and_floor,
+//    the same pass that computes h_now).  When that floor clears the
+//    engage margin the raw rollout cannot dip below it, and the call
+//    passes without rolling out.  Otherwise:
 //  * The raw rollout stops as soon as its running min h drops below the
 //    engage margin — min h never rises, so the call engages either way.
 //  * Candidates are advanced best-first: one step at a time, always the
@@ -60,7 +66,6 @@ struct FilterDecision {
   Control control{};     ///< u' = Psi(x, u)
   bool engaged = false;  ///< true when psi overrode the raw control
   double h_now = 0.0;    ///< barrier value at the decision state
-  double h_predicted = 0.0;  ///< worst-case h along the chosen rollout
 };
 
 class SafetyFilter {
@@ -81,6 +86,11 @@ class SafetyFilter {
   FilterDecision filter(const VehicleState& state, const ObstacleField& field,
                         const Control& raw) const;
 
+  /// True when filter() passes `raw` on the pass certificate alone,
+  /// without rolling it out (see the file comment).
+  bool certifies_pass(const VehicleState& state, const ObstacleField& field,
+                      const Control& raw) const;
+
   /// Cumulative number of engagements since construction.
   std::uint64_t engagements() const { return engagements_; }
 
@@ -98,6 +108,11 @@ class SafetyFilter {
     int steps = 0;                ///< rollout steps taken
   };
 
+  /// The engage margin at `state`'s speed.
+  double margin_eff(const VehicleState& state) const;
+  /// A bound on how far the raw rollout of `clamped` from `state` can
+  /// carry the vehicle; NaN when an input is not finite.
+  double reach(const VehicleState& state, const Control& clamped) const;
   /// The corrective score; of a partial rollout, an upper bound on the
   /// score of the full one.
   double score(const Candidate& c) const;

@@ -159,6 +159,38 @@ TEST(HotPathAllocations, SafetyFilterEngagedCallIsAllocationFree) {
   EXPECT_TRUE(engaged);
 }
 
+TEST(HotPathAllocations, SafetyFilterPassCallsAreAllocationFree) {
+  // Both pass paths: one the certificate proves without a rollout, and one
+  // it cannot (an obstacle beside the lane within reach), which falls back
+  // to the raw rollout and still passes.
+  ObstacleField field;
+  field.push_back(Obstacle{{40.0, 0.5}, 0.8});
+  field.push_back(Obstacle{{8.0, 4.5}, 0.8});
+  const SafetyFilter filter(SafetyFilterConfig{}, BicycleModel{}, Barrier{},
+                            Road{});
+  VehicleState certified;
+  certified.position = {-20.0, 0.0};
+  certified.speed = 8.0;
+  VehicleState fallback;
+  fallback.position = {0.0, 0.0};
+  fallback.speed = 10.0;
+  const Control raw{0.0, 0.5};
+  ASSERT_TRUE(filter.certifies_pass(certified, field, raw));
+  ASSERT_FALSE(filter.certifies_pass(fallback, field, raw));
+  ASSERT_FALSE(filter.filter(certified, field, raw).engaged);  // warm-up
+  ASSERT_FALSE(filter.filter(fallback, field, raw).engaged);
+
+  const std::uint64_t before = g_allocations.load();
+  bool engaged = false;
+  for (int i = 0; i < 200; ++i) {
+    engaged = filter.filter(certified, field, raw).engaged || engaged;
+    engaged = filter.filter(fallback, field, raw).engaged || engaged;
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u)
+      << "passing SafetyFilter::filter allocated";
+  EXPECT_FALSE(engaged);
+}
+
 TEST(HotPathAllocations, ObstacleWithinIntoReusesCapacity) {
   ObstacleField field;
   for (int i = 0; i < 12; ++i)

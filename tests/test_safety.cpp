@@ -365,16 +365,7 @@ class ExhaustiveFilter {
     FilterDecision decision;
     decision.h_now = barrier_.value(state, field);
     decision.control = model_.clamp(raw);
-    const double margin_eff =
-        config_.engage_margin *
-        std::clamp(state.speed / config_.speed_ref,
-                   config_.min_margin_factor, 1.0);
-    const Eval raw_eval = rollout(state, field, decision.control,
-                                  decision.h_now);
-    if (raw_eval.min_h >= margin_eff) {
-      decision.h_predicted = raw_eval.min_h;
-      return decision;
-    }
+    if (raw_min_h(state, field, raw) >= margin_eff(state)) return decision;
     ++engagements;
     decision.engaged = true;
     const double max_steer = model_.params().max_steer;
@@ -398,12 +389,25 @@ class ExhaustiveFilter {
         if (score > best_score) {
           best_score = score;
           best = candidate;
-          decision.h_predicted = eval.min_h;
         }
       }
     }
     decision.control = best;
     return decision;
+  }
+
+  double margin_eff(const VehicleState& state) const {
+    return config_.engage_margin *
+           std::clamp(state.speed / config_.speed_ref,
+                      config_.min_margin_factor, 1.0);
+  }
+
+  /// The exact worst barrier value of the raw control's full rollout.
+  double raw_min_h(const VehicleState& state, const ObstacleField& field,
+                   const Control& raw) const {
+    return rollout(state, field, model_.clamp(raw),
+                   barrier_.value(state, field))
+        .min_h;
   }
 
   std::uint64_t engagements = 0;
@@ -497,8 +501,6 @@ TEST(SafetyFilter, BranchAndBoundMatchesExhaustiveSearchBitExactly) {
           EXPECT_EQ(bits(got.control.throttle), bits(want.control.throttle))
               << "call " << calls;
           EXPECT_EQ(bits(got.h_now), bits(want.h_now)) << "call " << calls;
-          EXPECT_EQ(bits(got.h_predicted), bits(want.h_predicted))
-              << "call " << calls;
         }
         EXPECT_EQ(filter.engagements(), oracle.engagements);
       }
@@ -512,11 +514,11 @@ TEST(SafetyFilter, BranchAndBoundMatchesExhaustiveSearchBitExactly) {
 
 TEST(SafetyFilter, NonFiniteScoresResolveLikeExhaustiveSearch) {
   // NaN or -inf scores never win the exhaustive `score > best_score` loop;
-  // when no candidate wins it keeps the clamped raw control and
-  // h_predicted = 0.  The branch-and-bound must drop such candidates and
-  // land on the same bits: a NaN or infinite raw steer (NaN / infinite
-  // tie-break term), an infinite off-road penalty (inf * 0 = NaN), and a
-  // NaN speed on an empty field (NaN engage margin, every score +inf).
+  // when no candidate wins it keeps the clamped raw control.  The
+  // branch-and-bound must drop such candidates and land on the same bits:
+  // a NaN or infinite raw steer (NaN / infinite tie-break term), an
+  // infinite off-road penalty (inf * 0 = NaN), and a NaN speed on an empty
+  // field (NaN engage margin, every score +inf).
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   // Close enough that h_now is already below the engage margin: NaN
@@ -548,8 +550,104 @@ TEST(SafetyFilter, NonFiniteScoresResolveLikeExhaustiveSearch) {
     EXPECT_TRUE(got.engaged);
     EXPECT_EQ(bits(got.control.steering), bits(want.control.steering));
     EXPECT_EQ(bits(got.control.throttle), bits(want.control.throttle));
-    EXPECT_EQ(bits(got.h_predicted), bits(want.h_predicted));
+    EXPECT_EQ(bits(got.h_now), bits(want.h_now));
+    EXPECT_EQ(filter.engagements(), oracle.engagements);
   }
+}
+
+TEST(SafetyFilter, PassCertificateIsSound) {
+  // Whenever the pass certificate fires, the exact raw rollout must stay at
+  // or above the engage margin.  Random calls cover empty, near and far
+  // fields, negative, zero, in-range and above-max speeds and throttles
+  // past the limits.  Near-miss calls drive a drag-free model dead ahead
+  // at an obstacle without saturating the speed, where the reach bound is
+  // exact: the obstacle sits a gap beyond the point where the certificate
+  // would fire without its slack — the gap within two ulps of the
+  // position, or within the throttle's or the heading term's share of the
+  // bound.
+  Rng rng(77);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const SafetyFilterConfig config;
+  const Barrier barrier{BarrierConfig{}};
+  BicycleParams drag_free;
+  drag_free.drag_coeff = 0.0;
+  int calls = 0;
+  int certified = 0;
+  int near_miss_certified = 0;
+  for (const bool near_miss : {false, true}) {
+    const BicycleModel model(near_miss ? drag_free : BicycleParams{});
+    const SafetyFilter filter(config, model, barrier);
+    const ExhaustiveFilter oracle(config, model, barrier, std::nullopt);
+    for (int trial = 0; trial < 3000; ++trial) {
+      ObstacleField field;
+      VehicleState s;
+      Control raw;
+      if (near_miss) {
+        // Heading 0, zero steer: the vehicle moves along +x only, and the
+        // obstacle at its own y is met head-on (chi = 0, g = 1 + gain).
+        s = state_at(rng.uniform(-300.0, 300.0), rng.uniform(-3.0, 3.0),
+                     0.0, rng.uniform(0.0, 14.0));
+        raw = Control{0.0, rng.uniform(-1.2, 1.2)};
+        const double n = std::ceil(config.horizon_s / config.step_s);
+        const double dt = config.step_s;
+        const double a =
+            std::max(0.0, std::min(raw.throttle, 1.0)) * drag_free.max_accel;
+        const double path = dt * (n * s.speed + a * dt * n * (n - 1) / 2.0);
+        const double ulp = 0x1p-52 * (1.0 + std::abs(s.position.x));
+        const double gap = trial % 2 == 0 ? rng.uniform(-2.0, 2.0) * ulp
+                                          : rng.uniform(-1.5, 1.5);
+        const double radius = rng.uniform(0.4, 1.5);
+        const double worst =
+            barrier.config().margin * (1.0 + barrier.config().heading_gain);
+        const double distance = oracle.margin_eff(s) + path + radius +
+                                barrier.config().body_radius + worst + gap;
+        field.push_back(Obstacle{{s.position.x + distance, s.position.y},
+                                 radius});
+      } else {
+        const int kind = trial % 6;
+        double speed = rng.uniform(0.0, 25.0);
+        if (kind == 1) speed = rng.uniform(-6.0, 0.0);
+        if (kind == 2) speed = 0.0;
+        if (kind == 3) speed = rng.uniform(25.0, 40.0);
+        s = state_at(rng.uniform(-2.0, 4.0), rng.uniform(-3.5, 3.5),
+                     rng.uniform(-3.1, 3.1), speed);
+        raw = Control{rng.uniform(-0.7, 0.7), rng.uniform(-1.2, 1.2)};
+        const int fields = trial % 5;
+        if (fields == 1) {
+          field = random_field(rng, rng.uniform_int(1, 8));
+        } else if (fields >= 2) {
+          for (int i = rng.uniform_int(1, 8); i > 0; --i)
+            field.push_back(Obstacle{
+                {rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0)},
+                rng.uniform(0.4, 2.0)});
+        }
+      }
+      const bool fires = filter.certifies_pass(s, field, raw);
+      ++calls;
+      if (!fires) continue;
+      ++certified;
+      if (near_miss) ++near_miss_certified;
+      EXPECT_GE(oracle.raw_min_h(s, field, raw), oracle.margin_eff(s))
+          << "call " << calls;
+      EXPECT_FALSE(filter.filter(s, field, raw).engaged) << "call " << calls;
+    }
+    // Non-finite inputs fall through to the rollout, even where it passes.
+    const ObstacleField far({Obstacle{{200.0, 0.0}, 1.0}});
+    for (const VehicleState& s :
+         {state_at(0, 0, 0, nan), state_at(nan, 0, 0, 5),
+          state_at(0, nan, 0, 5), state_at(0, 0, 0, inf),
+          state_at(inf, 0, 0, 5), state_at(0, 0, nan, 5)}) {
+      EXPECT_FALSE(filter.certifies_pass(s, far, Control{0.0, 0.5}));
+      EXPECT_FALSE(filter.certifies_pass(s, ObstacleField{},
+                                         Control{0.0, 0.5}));
+    }
+    EXPECT_FALSE(filter.certifies_pass(state_at(0, 0, 0, 5), far,
+                                       Control{0.0, nan}));
+  }
+  // The certificate carries the bulk of the calls, near misses included.
+  EXPECT_GT(certified, calls / 3);
+  EXPECT_GT(near_miss_certified, 600);
 }
 
 // --- Safe-interval evaluators ----------------------------------------------

@@ -34,9 +34,8 @@ arm in at most 0.6x of workers:1 (BM_SweepWorkers; both carry a /real_time
 name suffix from UseRealTime).  The ratio is taken WITHIN the fresh file,
 so it is machine-independent; it is only meaningful on a multicore host, so the
 assertion is skipped (with a note) when the fresh run's machine has fewer
-than --min-scaling-cpus CPUs (default 4 — the committed baseline from a
-1-CPU container records flat ratios, CI's 4-vCPU runners enforce real
-ones).  Disable explicitly with --no-scaling.
+than --min-scaling-cpus CPUs (default 4).  Disable explicitly with
+--no-scaling.
 """
 import argparse
 import json
@@ -57,7 +56,9 @@ DEFAULT_NAMES = [
     "BM_RolloutInterval",
     "BM_RolloutPhiCache",
     "BM_SafetyFilterEngaged",
+    "BM_SafetyFilterEngagedRoad",
     "BM_SafetyFilterPass",
+    "BM_SafetyFilterPassNear",
     "BM_TraceStreamRead",
     "BM_TraceStreamWrite",
 ]

@@ -5,16 +5,36 @@ Usage:
     bench/micro_hotpaths --benchmark_format=json | tools/bench_to_json.py
     tools/bench_to_json.py raw.json [-o BENCH_hotpaths.json]
 
+A baseline is best taken with repetitions (e.g. --benchmark_repetitions=5);
+each benchmark then records the median of its repeats.
+
 Keeps one entry per benchmark (name -> real/cpu time) plus enough host
 context to interpret the numbers across machines, so successive commits of
-BENCH_hotpaths.json form a perf trajectory for the hot paths.
+BENCH_hotpaths.json form a perf trajectory for the hot paths.  Provenance:
+the CPU count, the seo build type and compiler micro_hotpaths was built
+with, and the commit (`git describe --dirty` of this checkout at conversion
+time).
 """
 import argparse
 import json
+import pathlib
+import subprocess
 import sys
 
 
-def convert(raw: dict) -> dict:
+def checkout_commit() -> str | None:
+    """`git describe --always --dirty` of the checkout holding this script."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=pathlib.Path(__file__).resolve().parent, capture_output=True,
+            text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip() or None
+
+
+def convert(raw: dict, commit: str | None = None) -> dict:
     context = raw.get("context", {})
     out = {
         "context": {
@@ -24,13 +44,21 @@ def convert(raw: dict) -> dict:
             "mhz_per_cpu": context.get("mhz_per_cpu"),
             "cpu_scaling_enabled": context.get("cpu_scaling_enabled"),
             "library_build_type": context.get("library_build_type"),
+            "seo_build_type": context.get("seo_build_type"),
+            "seo_compiler": context.get("seo_compiler"),
+            "commit": commit,
         },
         "benchmarks": {},
     }
     for bench in raw.get("benchmarks", []):
+        name = bench["name"]
         if bench.get("run_type") == "aggregate":
-            continue
-        out["benchmarks"][bench["name"]] = {
+            # Under --benchmark_repetitions the median of the repeats, which
+            # follows them in the output, is the entry kept.
+            if bench.get("aggregate_name") != "median":
+                continue
+            name = bench["run_name"]
+        out["benchmarks"][name] = {
             "real_time": bench.get("real_time"),
             "cpu_time": bench.get("cpu_time"),
             "time_unit": bench.get("time_unit"),
@@ -53,7 +81,7 @@ def main() -> int:
         with open(args.input) as f:
             raw = json.load(f)
 
-    result = convert(raw)
+    result = convert(raw, checkout_commit())
     with open(args.output, "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)
         f.write("\n")

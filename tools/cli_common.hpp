@@ -73,11 +73,7 @@ constexpr const char* kCacheUsage =
     "[hours]\n"
     "                           gc            LRU GC sweep over the dir "
     "before the run\n"
-    "                         e.g. --cache dir=artifacts,budget-mb=512,gc\n"
-    "  --table-cache on|off, --table-cache-dir DIR, --cache-budget-mb N,\n"
-    "  --cache-max-age-h N, --cache-mem-mb N, --cache-gc\n"
-    "                         deprecated aliases for the --cache settings "
-    "above\n";
+    "                         e.g. --cache dir=artifacts,budget-mb=512,gc\n";
 
 /// Artifact-store options accumulated while parsing.
 struct CacheCliOptions {
@@ -88,22 +84,20 @@ struct CacheCliOptions {
 };
 
 /// Applies one `--cache` setting (`name`/`value` as in "dir=DIR", or a
-/// bare token like "gc" with an empty value).  Both the new `--cache SPEC`
-/// syntax and the deprecated per-setting flags funnel through here — one
-/// code path, so the two surfaces can never drift.  Returns false for an
+/// bare token like "gc" with an empty value).  Returns false for an
 /// unknown setting name; exits with code 2 on a malformed value.
 inline bool apply_cache_setting(
-    const std::string& flag, const std::string& name, const std::string& value,
+    const std::string& name, const std::string& value,
     std::vector<std::pair<std::string, std::string>>& overrides,
     CacheCliOptions& state) {
   const auto bare = [&] {
     if (!value.empty()) {
-      std::cerr << flag << ": '" << name << "' does not take a value\n";
+      std::cerr << "--cache: '" << name << "' does not take a value\n";
       std::exit(2);
     }
   };
   const auto numeric = [&] {
-    return parse_numeric_flag(flag + " " + name, value);
+    return parse_numeric_flag("--cache " + name, value);
   };
   if (name == "on" || name == "off") {
     bare();
@@ -117,7 +111,7 @@ inline bool apply_cache_setting(
   }
   if (name == "dir") {
     if (value.empty()) {
-      std::cerr << flag << ": 'dir' expects a directory\n";
+      std::cerr << "--cache: 'dir' expects a directory\n";
       std::exit(2);
     }
     state.dir = value;
@@ -142,71 +136,44 @@ inline bool apply_cache_setting(
   return false;
 }
 
-/// Consumes one shared artifact-store flag (and its value) from argv —
-/// `--cache SPEC` or one of the deprecated per-setting aliases.  Returns
-/// false when `argv[i]` is not a cache flag; exits with code 2 on a
-/// malformed value.  Recognized settings land in `overrides` (scenario_io
-/// keys, so they reach run_episode through the normal config path) and in
-/// `state` (for the startup GC).
+/// Consumes the shared artifact-store flag `--cache SPEC` (and its value)
+/// from argv.  Returns false when `argv[i]` is not that flag; exits with
+/// code 2 on a malformed value.  Recognized settings land in `overrides`
+/// (scenario_io keys, so they reach run_episode through the normal config
+/// path) and in `state` (for the startup GC).
 inline bool parse_cache_flag(
     int argc, char** argv, int& i,
     std::vector<std::pair<std::string, std::string>>& overrides,
     CacheCliOptions& state) {
   const std::string arg = argv[i];
-  const auto next_value = [&]() -> std::string {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << arg << "\n";
+  if (arg != "--cache") return false;
+  if (i + 1 >= argc) {
+    std::cerr << "missing value for " << arg << "\n";
+    std::exit(2);
+  }
+  for (const std::string& item : split(argv[++i], ',')) {
+    if (item.empty()) continue;
+    const auto eq = item.find('=');
+    const std::string name =
+        eq == std::string::npos ? item : item.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? "" : item.substr(eq + 1);
+    if (!apply_cache_setting(name, value, overrides, state)) {
+      std::cerr << "--cache: unknown setting '" << name
+                << "' (expected on, off, dir=, mem-mb=, budget-mb=, "
+                   "max-age-h=, gc)\n";
       std::exit(2);
     }
-    return argv[++i];
-  };
-
-  if (arg == "--cache") {
-    for (const std::string& item : split(next_value(), ',')) {
-      if (item.empty()) continue;
-      const auto eq = item.find('=');
-      const std::string name =
-          eq == std::string::npos ? item : item.substr(0, eq);
-      const std::string value =
-          eq == std::string::npos ? "" : item.substr(eq + 1);
-      if (!apply_cache_setting(arg, name, value, overrides, state)) {
-        std::cerr << "--cache: unknown setting '" << name
-                  << "' (expected on, off, dir=, mem-mb=, budget-mb=, "
-                     "max-age-h=, gc)\n";
-        std::exit(2);
-      }
-    }
-    return true;
   }
-  if (arg == "--table-cache") {
-    const std::string value = next_value();
-    if (value != "on" && value != "off") {
-      std::cerr << "--table-cache expects on|off\n";
-      std::exit(2);
-    }
-    return apply_cache_setting(arg, value, "", overrides, state);
-  }
-  if (arg == "--table-cache-dir")
-    return apply_cache_setting(arg, "dir", next_value(), overrides, state);
-  if (arg == "--cache-budget-mb")
-    return apply_cache_setting(arg, "budget-mb", next_value(), overrides,
-                               state);
-  if (arg == "--cache-max-age-h")
-    return apply_cache_setting(arg, "max-age-h", next_value(), overrides,
-                               state);
-  if (arg == "--cache-mem-mb")
-    return apply_cache_setting(arg, "mem-mb", next_value(), overrides, state);
-  if (arg == "--cache-gc")
-    return apply_cache_setting(arg, "gc", "", overrides, state);
-  return false;
+  return true;
 }
 
-/// Startup GC requested via --cache-gc: one LRU sweep over the artifact
+/// Startup GC requested via `--cache gc`: one LRU sweep over the artifact
 /// dir with the configured caps, reported to stderr.
 inline void run_requested_gc(const CacheCliOptions& state) {
   if (!state.gc) return;
   if (state.dir.empty()) {
-    std::cerr << "--cache-gc requires --table-cache-dir\n";
+    std::cerr << "--cache gc requires dir=\n";
     std::exit(2);
   }
   const ArtifactGcResult r = artifact_store_gc(
