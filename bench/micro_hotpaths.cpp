@@ -235,7 +235,7 @@ BENCHMARK(BM_MlpForwardBatch);
 
 // Threaded-vs-serial scaling of the two big offline artifacts.  The rigs
 // are sized so per-item work dominates the fan-out overhead (a table large
-// enough that row builds take milliseconds; an episode batch deep enough
+// enough that column builds take milliseconds; an episode batch deep enough
 // that the wave engine's merge cost is noise) — with the wave-merge
 // barrier, cache-probe lock and per-wave allocations gone, speedup on a
 // multicore host is asserted, not just observed: the CI scaling gate
@@ -283,6 +283,23 @@ BENCHMARK(BM_ExperimentBatch)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// A cold rollout-phi table on the default 41x25x21 grid, serial: one
+// shared march per speed column, the horizon certificate settling far
+// cells, sign tests along the march for the rest.  This is what a cold
+// process pays per rphi table before its first episode.
+void BM_RolloutTableBuild(benchmark::State& state) {
+  const Barrier barrier{BarrierConfig{}};
+  const RolloutSafeInterval source(RolloutIntervalConfig{}, BicycleModel{},
+                                   barrier);
+  DeadlineTableConfig config;
+  config.threads = 1;
+  for (auto _ : state) {
+    const DeadlineTable table(config, source, BarrierConfig{}.body_radius);
+    benchmark::DoNotOptimize(table.cell_count());
+  }
+}
+BENCHMARK(BM_RolloutTableBuild)->Unit(benchmark::kMillisecond);
 
 // Process-level scaling of the distributed sweep: end-to-end wall time of
 // `sweep --smoke --workers N` with single-threaded workers, so the worker
@@ -511,7 +528,7 @@ BENCHMARK(BM_SweepTableCache)
     ->Unit(benchmark::kMillisecond);
 
 // The same sweep-level before/after on a rollout-phi-dominated rig: the
-// rollout source integrates the KBM per cell (~10x costlier than the
+// rollout source integrates the KBM (~10x costlier than the
 // closed-form certificate), so rebuilding the identical table every
 // episode dominates everything — the win the artifact store's "rphi" kind
 // exists to deliver (the acceptance benchmark for the rollout kind).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/expect.hpp"
 
@@ -140,6 +141,46 @@ VehicleState BicycleModel::step_euler(const VehicleState& state,
   VehicleState out = apply(state, derivative(state, held), dt);
   out.speed = std::clamp(out.speed, 0.0, params_.max_speed);
   return out;
+}
+
+double BicycleModel::reach(const VehicleState& state, const Control& clamped,
+                           int steps, double dt) const {
+  // Every Euler step moves the vehicle by the speed v_j it starts with
+  // times dt; write u = 2^-53 and N = steps.
+  //
+  //  * v_0 is the start speed, of any sign or size.  Each step clamps the
+  //    new speed into [0, max_speed], so 0 <= v_j <= max_speed for j >= 1.
+  //  * With v_j >= 0 and drag >= 0 the step's acceleration is at most
+  //    drive = fl(throttle * max_accel) (<= 0 when braking), so monotone
+  //    rounding gives v_{j+1} <= min(max_speed, fl(v_j + a)) with
+  //    a = fl(fl(max(0, throttle) * max_accel) * dt) — the very doubles the
+  //    step forms.  From v_0 >= 0, by induction,
+  //    v_j <= min(max_speed, (v_0 + j*a) * (1 + u)^j).  A negative start
+  //    speed leaves only the clamp (its first step may add drag).
+  //  * Summing (the sum of minima is at most the minimum of sums), the
+  //    steps cover at most dt * (|v_0| + (N-1) * min(max_speed,
+  //    v_0 + a*N/2)) * (1 + u)^N, or max_speed alone for v_0 < 0.  The
+  //    displacement of a step rounds to within 5u of |v_j|*dt (two
+  //    products; cos and sin within an ulp) and adding it to a coordinate
+  //    rounds within u of that coordinate, which stays within
+  //    |x_0| + |y_0| + 2 * reach.
+  //
+  // The relative slack N * 2^-40 is thousands of times those (3N + 10)u,
+  // its own roundings included.  Non-finite inputs get no bound: NaN.
+  const double x = state.position.x;
+  const double y = state.position.y;
+  const double v0 = state.speed;
+  if (!std::isfinite(x) || !std::isfinite(y) || !std::isfinite(v0) ||
+      !std::isfinite(state.heading) || !std::isfinite(clamped.steering) ||
+      !std::isfinite(clamped.throttle))
+    return std::numeric_limits<double>::quiet_NaN();
+  const double n = static_cast<double>(steps);
+  const double a = std::max(0.0, clamped.throttle) * params_.max_accel * dt;
+  const double mean_speed =
+      v0 >= 0.0 ? std::min(params_.max_speed, v0 + a * n * 0.5)
+                : params_.max_speed;
+  const double path = dt * (std::abs(v0) + (n - 1.0) * mean_speed);
+  return path + n * 0x1p-40 * (path + std::abs(x) + std::abs(y));
 }
 
 }  // namespace seo

@@ -92,6 +92,15 @@ class BicycleModel {
   /// Side-slip angle beta for a (clamped) steering command.
   double slip_angle(double steering) const;
 
+  /// A bound on how far `steps` `step_euler` steps of length `dt` under the
+  /// held, already clamped control `clamped` can carry the vehicle from
+  /// `state`, in floating point: every state of that march lies within
+  /// `reach` metres of `state.position`.  NaN when an input is not finite.
+  /// The safety filter's pass certificate and the rollout-phi evaluator's
+  /// horizon certificate both rest on it.
+  double reach(const VehicleState& state, const Control& clamped, int steps,
+               double dt) const;
+
  private:
   double accel_command(double throttle, double speed) const;
 

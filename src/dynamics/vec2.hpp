@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
 
 namespace seo {
 
@@ -51,9 +52,16 @@ constexpr Vec2 operator*(double s, const Vec2& v) { return v * s; }
 
 inline double distance(const Vec2& a, const Vec2& b) { return (a - b).norm(); }
 
-/// Wraps an angle to (-pi, pi].
+/// Wraps an angle to (-pi, pi]; NaN for a non-finite angle.
 inline double wrap_angle(double a) {
   constexpr double kPi = 3.14159265358979323846;
+  // The loops below take |a| / 2pi steps, and never end once a - 2pi == a,
+  // so a far angle is first reduced exactly by remainder() (into
+  // [-pi, pi]).  Angles within the bound keep the loops, and their bits.
+  if (std::abs(a) > 64.0 * kPi) {
+    if (std::isinf(a)) return std::numeric_limits<double>::quiet_NaN();
+    a = std::remainder(a, 2.0 * kPi);
+  }
   while (a > kPi) a -= 2.0 * kPi;
   while (a <= -kPi) a += 2.0 * kPi;
   return a;

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/binary_io.hpp"
 #include "util/expect.hpp"
@@ -50,52 +51,51 @@ DeadlineTable::DeadlineTable(DeadlineTableConfig config,
              config_.obstacle_radius > 0.0);
   SEO_EXPECT(std::isfinite(body_radius_) && body_radius_ > 0.0);
 
-  // Place a virtual obstacle at every reduced coordinate and record the
-  // evaluator's Delta_max.  The ego sits at the origin heading +x.  Workers
-  // claim distance rows one at a time: per-row cost varies strongly with
-  // obstacle distance, so claiming keeps the expensive near-field rows off
-  // any single worker.  Cells are independent and each row writes a
-  // disjoint region of values_, so any thread count produces a
-  // bit-identical table; one thread walks the rows in order.
-  const auto build_rows = [this, &source](IndexCursor& rows) {
-    // One field per worker, rebuilt in place per cell: the grid has tens of
-    // thousands of cells, and a fresh ObstacleField per cell would make the
-    // build allocation-bound.
-    ObstacleField field;
-    field.reserve(1);
-    for (std::size_t di = 0; rows.claim(di);) {
-      const double d = config_.max_distance * static_cast<double>(di) /
-                       static_cast<double>(config_.distance_bins - 1);
-      for (int bi = 0; bi < config_.bearing_bins; ++bi) {
-        const double chi =
-            -kPi + 2.0 * kPi * static_cast<double>(bi) /
-                       static_cast<double>(config_.bearing_bins - 1);
-        for (int vi = 0; vi < config_.speed_bins; ++vi) {
-          const double v = config_.max_speed * static_cast<double>(vi) /
-                           static_cast<double>(config_.speed_bins - 1);
-          VehicleState state;
-          state.position = {0.0, 0.0};
-          state.heading = 0.0;
-          state.speed = v;
-          // Reconstruct the obstacle whose surface clearance is exactly d.
-          const double center_dist =
-              d + config_.obstacle_radius + body_radius_;
-          field.clear();
-          field.push_back(Obstacle{Vec2::from_polar(center_dist, chi),
+  // Place a virtual obstacle at every reduced (d, chi) coordinate and
+  // record the evaluator's Delta_max; the ego sits at the origin heading +x.
+  // The obstacles are the same for every speed, so one speed column (every
+  // (d, chi) cell at one v) is one evaluate_column() query, which lets a
+  // source share work across the column.  Workers claim columns one at a
+  // time: per-column cost varies with speed, so claiming keeps the
+  // expensive ones off any single worker.  Each column writes its own
+  // cells, so any thread count produces a bit-identical table.
+  const auto column_cells = static_cast<std::size_t>(config_.distance_bins) *
+                            static_cast<std::size_t>(config_.bearing_bins);
+  std::vector<Obstacle> obstacles;
+  obstacles.reserve(column_cells);
+  for (int di = 0; di < config_.distance_bins; ++di) {
+    const double d = config_.max_distance * static_cast<double>(di) /
+                     static_cast<double>(config_.distance_bins - 1);
+    // Reconstruct the obstacle whose surface clearance is exactly d.
+    const double center_dist = d + config_.obstacle_radius + body_radius_;
+    for (int bi = 0; bi < config_.bearing_bins; ++bi) {
+      const double chi = -kPi + 2.0 * kPi * static_cast<double>(bi) /
+                                    static_cast<double>(config_.bearing_bins - 1);
+      obstacles.push_back(Obstacle{Vec2::from_polar(center_dist, chi),
                                    config_.obstacle_radius});
-          const SafeInterval si = source.evaluate(state, Control{}, field);
-          // Grid points are within the domain by construction, but guard a
-          // source that still reports "unconstrained" at the very edge with
-          // a bounded large value so interpolation is never poisoned.
-          cell(static_cast<int>(di), bi, vi) =
-              si.constrained ? si.delta_max_s : 1e3;
-        }
-      }
+    }
+  }
+  const auto build_columns = [this, &source, &obstacles,
+                              column_cells](IndexCursor& columns) {
+    std::vector<SafeInterval> column(column_cells);
+    for (std::size_t vi = 0; columns.claim(vi);) {
+      VehicleState state;
+      state.position = {0.0, 0.0};
+      state.heading = 0.0;
+      state.speed = config_.max_speed * static_cast<double>(vi) /
+                    static_cast<double>(config_.speed_bins - 1);
+      source.evaluate_column(state, Control{}, obstacles, column);
+      // Grid points are within the domain by construction, but guard a
+      // source that still reports "unconstrained" at the very edge with a
+      // bounded large value so interpolation is never poisoned.
+      for (std::size_t i = 0; i < column_cells; ++i)
+        values_[i * static_cast<std::size_t>(config_.speed_bins) + vi] =
+            column[i].constrained ? column[i].delta_max_s : 1e3;
     }
   };
-  ThreadPool::run_capped(0, static_cast<std::size_t>(config_.distance_bins),
+  ThreadPool::run_capped(0, static_cast<std::size_t>(config_.speed_bins),
                          ThreadPool::resolve_threads(config_.threads),
-                         build_rows);
+                         build_columns);
 }
 
 DeadlineTable::DeadlineTable(DeadlineTableConfig config, double body_radius,
@@ -192,14 +192,6 @@ DeadlineTable DeadlineTable::decode(BinaryReader& in) {
   for (auto& v : values) v = in.f64();
   for (const double v : values) SEO_EXPECT(std::isfinite(v));
   return DeadlineTable(config, body_radius, std::move(values));
-}
-
-double& DeadlineTable::cell(int di, int bi, int vi) {
-  return values_[(static_cast<std::size_t>(di) *
-                      static_cast<std::size_t>(config_.bearing_bins) +
-                  static_cast<std::size_t>(bi)) *
-                     static_cast<std::size_t>(config_.speed_bins) +
-                 static_cast<std::size_t>(vi)];
 }
 
 double DeadlineTable::cell(int di, int bi, int vi) const {

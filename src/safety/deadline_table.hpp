@@ -26,8 +26,8 @@ struct DeadlineTableConfig {
   double max_speed = 15.0;
   double obstacle_radius = 0.8;  ///< representative obstacle size for build
   /// Worker threads for the build: 1 = serial (default), 0 = all hardware
-  /// threads, n = exactly n.  Every cell is an independent virtual-obstacle
-  /// evaluation written to its own slot, so the result is bit-identical to
+  /// threads, n = exactly n.  Every speed column is an independent
+  /// evaluation written to its own cells, so the result is bit-identical to
   /// the serial build for any thread count.  Not part of the serialized
   /// format — an execution knob, not a table property.
   int threads = 1;
@@ -75,7 +75,6 @@ class DeadlineTable : public SafeIntervalEvaluator {
   DeadlineTable(DeadlineTableConfig config, double body_radius,
                 std::vector<double> values);
 
-  double& cell(int di, int bi, int vi);
   double cell(int di, int bi, int vi) const;
 
   DeadlineTableConfig config_;

@@ -3,10 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "util/expect.hpp"
 
 namespace seo {
+
+void SafeIntervalEvaluator::evaluate_column(
+    const VehicleState& state, const Control& u,
+    std::span<const Obstacle> obstacles, std::span<SafeInterval> out) const {
+  SEO_EXPECT(obstacles.size() == out.size());
+  // One field, rebuilt in place per cell: a fresh ObstacleField per cell
+  // would make a table build allocation-bound.
+  ObstacleField field;
+  field.reserve(1);
+  for (std::size_t i = 0; i < obstacles.size(); ++i) {
+    field.clear();
+    field.push_back(obstacles[i]);
+    out[i] = evaluate(state, u, field);
+  }
+}
 
 LipschitzSafeInterval::LipschitzSafeInterval(LipschitzIntervalConfig config,
                                              Barrier barrier,
@@ -58,54 +74,140 @@ SafeInterval LipschitzSafeInterval::evaluate(const VehicleState& state,
   return SafeInterval{true, delta};
 }
 
+namespace {
+/// Steps per block of a column march: the scratch holds kMarchBlock + 1
+/// states (~16 KB) whatever the horizon.
+constexpr int kMarchBlock = 512;
+/// The longest march a config may ask for.
+constexpr double kMaxSteps = 1e7;
+}  // namespace
+
 RolloutSafeInterval::RolloutSafeInterval(RolloutIntervalConfig config,
                                          BicycleModel model, Barrier barrier)
     : config_(config), model_(std::move(model)), barrier_(barrier) {
   SEO_EXPECT(config_.sensing_range > 0.0);
   SEO_EXPECT(config_.horizon_s > 0.0);
   SEO_EXPECT(config_.step_s > 0.0 && config_.step_s < config_.horizon_s);
+  SEO_EXPECT(config_.horizon_s / config_.step_s <= kMaxSteps);
   SEO_EXPECT(config_.bisection_iters >= 0);
+  // The march's loop condition, counted once: t never stalls, as
+  // t < horizon_s <= kMaxSteps * step_s keeps step_s far above ulp(t).
+  for (double t = 0.0; t < config_.horizon_s; t += config_.step_s) ++steps_;
 }
 
-SafeInterval RolloutSafeInterval::evaluate(const VehicleState& state,
-                                           const Control& u,
-                                           const ObstacleField& field) const {
+std::optional<SafeInterval> RolloutSafeInterval::settle(
+    const VehicleState& state, const ObstacleField& field,
+    double reach) const {
   const auto nearest = field.nearest(state.position);
   if (!nearest || nearest->surface_distance - barrier_.config().body_radius >
                       config_.sensing_range + 1e-9)
     return SafeInterval{false, 0.0};
+  const Barrier::ValueAndFloor now =
+      barrier_.value_and_floor(state, field, reach);
+  if (now.value < 0.0) return SafeInterval{true, 0.0};
+  // Horizon certificate: every state the march can reach has
+  // h >= floor >= 0, so none of its sign tests can fail.
+  if (now.floor >= 0.0) return SafeInterval{true, config_.horizon_s};
+  return std::nullopt;
+}
 
-  // Every barrier test below is a sign test, so the fold is capped at 0:
-  // value(.., 0.0) == min(0, h) is < 0 exactly when h is, and obstacles
-  // that cannot pull h below zero skip their trig.
-  if (barrier_.value(state, field, 0.0) < 0.0) return SafeInterval{true, 0.0};
+double RolloutSafeInterval::crossing_offset(const VehicleState& prev,
+                                            const HeldControl& held,
+                                            const ObstacleField& field) const {
+  double lo = 0.0, hi = config_.step_s;
+  for (int i = 0; i < config_.bisection_iters; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    const VehicleState s_mid = model_.step_euler(prev, held, mid);
+    if (barrier_.value(s_mid, field, 0.0) < 0.0)
+      hi = mid;
+    else
+      lo = mid;
+  }
+  return lo;
+}
 
-  // March forward until h crosses 0 (or the horizon passes).  `u` is held
-  // for the whole march, so its clamp/slip-angle terms are computed once.
+// Every barrier test of a march is a sign test, so the fold is capped at 0:
+// value(.., 0.0) == min(0, h) is < 0 exactly when h is, and obstacles that
+// cannot pull h below zero skip their trig.  The control is held for the
+// whole march, so its clamp/slip-angle terms are computed once.
+SafeInterval RolloutSafeInterval::evaluate(const VehicleState& state,
+                                           const Control& u,
+                                           const ObstacleField& field) const {
   const HeldControl held = model_.hold(u);
+  if (const auto settled = settle(
+          state, field,
+          model_.reach(state, held.clamped, steps_, config_.step_s)))
+    return *settled;
   VehicleState prev = state;
   double t = 0.0;
-  while (t < config_.horizon_s) {
-    VehicleState next = model_.step_euler(prev, held, config_.step_s);
-    if (barrier_.value(next, field, 0.0) < 0.0) {
-      // Bisection-refine the crossing inside (t, t + step].
-      double lo = 0.0, hi = config_.step_s;
-      for (int i = 0; i < config_.bisection_iters; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        const VehicleState s_mid = model_.step_euler(prev, held, mid);
-        if (barrier_.value(s_mid, field, 0.0) < 0.0)
-          hi = mid;
-        else
-          lo = mid;
-      }
-      return SafeInterval{true, t + lo};
-    }
+  for (int k = 0; k < steps_; ++k) {
+    const VehicleState next = model_.step_euler(prev, held, config_.step_s);
+    if (barrier_.value(next, field, 0.0) < 0.0)
+      return SafeInterval{true, t + crossing_offset(prev, held, field)};
     prev = next;
     t += config_.step_s;
   }
   // Never crossed within the horizon: the held control is safe for at
   // least the horizon.
   return SafeInterval{true, config_.horizon_s};
+}
+
+void RolloutSafeInterval::evaluate_column(const VehicleState& state,
+                                          const Control& u,
+                                          std::span<const Obstacle> obstacles,
+                                          std::span<SafeInterval> out) const {
+  SEO_EXPECT(obstacles.size() == out.size());
+  const HeldControl held = model_.hold(u);
+  const double reach =
+      model_.reach(state, held.clamped, steps_, config_.step_s);
+  ObstacleField field;
+  field.reserve(1);
+  const auto load = [&field](const Obstacle& obstacle) {
+    field.clear();
+    field.push_back(obstacle);
+  };
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < obstacles.size(); ++i) {
+    load(obstacles[i]);
+    if (const auto settled = settle(state, field, reach))
+      out[i] = *settled;
+    else
+      pending.push_back(i);
+  }
+
+  // The march every pending cell shares, a block at a time: states[j] is
+  // the block's j-th state (states[0] ends the previous block) and times[j]
+  // the elapsed t at it, summed step by step exactly as evaluate() sums.
+  const auto block = static_cast<std::size_t>(std::min(steps_, kMarchBlock));
+  std::vector<VehicleState> states(block + 1);
+  std::vector<double> times(block + 1);
+  states[0] = state;
+  times[0] = 0.0;
+  for (int done = 0; done < steps_ && !pending.empty();) {
+    const auto n = std::min(block, static_cast<std::size_t>(steps_ - done));
+    for (std::size_t j = 1; j <= n; ++j) {
+      states[j] = model_.step_euler(states[j - 1], held, config_.step_s);
+      times[j] = times[j - 1] + config_.step_s;
+    }
+    std::size_t kept = 0;
+    for (std::size_t p = 0; p < pending.size(); ++p) {
+      const std::size_t i = pending[p];
+      load(obstacles[i]);
+      std::size_t j = 1;
+      while (j <= n && !(barrier_.value(states[j], field, 0.0) < 0.0)) ++j;
+      if (j <= n)
+        out[i] = SafeInterval{
+            true, times[j - 1] + crossing_offset(states[j - 1], held, field)};
+      else
+        pending[kept++] = i;
+    }
+    pending.resize(kept);
+    states[0] = states[n];
+    times[0] = times[n];
+    done += static_cast<int>(n);
+  }
+  for (const std::size_t i : pending)
+    out[i] = SafeInterval{true, config_.horizon_s};
 }
 
 }  // namespace seo

@@ -18,10 +18,16 @@
 //    bisection.  Less conservative (it assumes the current control persists
 //    instead of a worst case); used to quantify the conservatism of the
 //    certificate in bench/ablation_deadline_table.
+//
+// Table builds evaluate a whole column at once (evaluate_column): one start
+// state and control against one single-obstacle field per cell.  The
+// rollout's march depends only on the start state and control, so it
+// marches a column once and sign-tests every cell along the shared states.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "dynamics/bicycle.hpp"
 #include "dynamics/obstacle.hpp"
@@ -46,6 +52,14 @@ class SafeIntervalEvaluator {
   virtual ~SafeIntervalEvaluator() = default;
   virtual SafeInterval evaluate(const VehicleState& state, const Control& u,
                                 const ObstacleField& field) const = 0;
+
+  /// A column of queries sharing one start state and control:
+  /// out[i] = evaluate(state, u, field holding only obstacles[i]), bit for
+  /// bit.  The default loops evaluate(); an evaluator whose work depends
+  /// on the start state alone overrides it to share that work.
+  virtual void evaluate_column(const VehicleState& state, const Control& u,
+                               std::span<const Obstacle> obstacles,
+                               std::span<SafeInterval> out) const;
 };
 
 struct LipschitzIntervalConfig {
@@ -91,20 +105,45 @@ struct RolloutIntervalConfig {
   int bisection_iters = 12; ///< refinement of the crossing time
 };
 
+/// The march steps the vehicle under the held control while the elapsed
+/// time t (accumulated step by step) is below the horizon, and reports the
+/// first step whose state has h < 0, refined by bisection.  Before
+/// marching, a horizon certificate — the barrier's floor over the disc
+/// BicycleModel::reach bounds the march to — settles a query at horizon_s
+/// when that floor is >= 0: no state of the march can then cross.
 class RolloutSafeInterval : public SafeIntervalEvaluator {
  public:
+  /// Refuses a horizon of more than 10^7 steps (~1 s of stepping per
+  /// query), so counting the steps can neither stall nor run away.
   RolloutSafeInterval(RolloutIntervalConfig config, BicycleModel model,
                       Barrier barrier);
 
   SafeInterval evaluate(const VehicleState& state, const Control& u,
                         const ObstacleField& field) const override;
 
+  /// Marches the column once, a block of steps at a time through one
+  /// scratch buffer, and sign-tests each unsettled cell along the block.
+  void evaluate_column(const VehicleState& state, const Control& u,
+                       std::span<const Obstacle> obstacles,
+                       std::span<SafeInterval> out) const override;
+
   const RolloutIntervalConfig& config() const { return config_; }
 
  private:
+  /// The result fixed before marching: unconstrained, already unsafe, or
+  /// certified for the horizon; nullopt when the march must decide.
+  std::optional<SafeInterval> settle(const VehicleState& state,
+                                     const ObstacleField& field,
+                                     double reach) const;
+  /// Bisection of the crossing inside the step that leaves `prev`: the
+  /// offset in [0, step_s) of the last probe still at h >= 0.
+  double crossing_offset(const VehicleState& prev, const HeldControl& held,
+                         const ObstacleField& field) const;
+
   RolloutIntervalConfig config_;
   BicycleModel model_;
   Barrier barrier_;
+  int steps_ = 0;  ///< steps in one march (the t < horizon_s iterations)
 };
 
 }  // namespace seo

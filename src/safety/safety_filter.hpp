@@ -12,9 +12,9 @@
 // The filter returns the same bits as rolling the raw control and every
 // candidate out to the horizon and keeping the first strictly best score:
 //
-//  * Pass certificate: a reach bound (how far any Euler step sequence of
-//    the raw control can carry the vehicle, from the start speed, the
-//    throttle's acceleration and max_speed) widens the barrier's
+//  * Pass certificate: a reach bound (BicycleModel::reach — how far the
+//    raw control's Euler steps can carry the vehicle, from the start speed,
+//    the throttle's acceleration and max_speed) widens the barrier's
 //    trig-skip bound into a floor over a disc (Barrier::value_and_floor,
 //    the same pass that computes h_now).  When that floor clears the
 //    engage margin the raw rollout cannot dip below it, and the call
@@ -110,9 +110,6 @@ class SafetyFilter {
 
   /// The engage margin at `state`'s speed.
   double margin_eff(const VehicleState& state) const;
-  /// A bound on how far the raw rollout of `clamped` from `state` can
-  /// carry the vehicle; NaN when an input is not finite.
-  double reach(const VehicleState& state, const Control& clamped) const;
   /// The corrective score; of a partial rollout, an upper bound on the
   /// score of the full one.
   double score(const Candidate& c) const;

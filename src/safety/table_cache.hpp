@@ -19,7 +19,8 @@
 //    the classic silent cache-corruption bug, so key sensitivity is locked
 //    by tests and the digest is pinned by a golden-value test.
 //  * "rphi" — rollout-φ tables.  RolloutSafeInterval sources integrate the
-//    KBM per cell (~10× costlier than the closed-form certificate), which
+//    KBM (one march per speed column, ~10× costlier than the closed-form
+//    certificate), which
 //    makes caching even more valuable.  RolloutTableKey fingerprints the
 //    effective RolloutIntervalConfig, the vehicle model the rollout
 //    integrates, the barrier, the road and the grid/domain config.

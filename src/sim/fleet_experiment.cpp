@@ -322,24 +322,29 @@ std::string fleet_vehicle_csv(const FleetResult& result) {
       "vehicle,episodes,completions,collisions,off_roads,timeouts,"
       "filter_engagements,avg_speed,offloads,probes,deadline_misses,"
       "miss_rate,shed,mean_response_ms,energy_actual_j,energy_baseline_j\n";
+  // ",value" is appended in two steps: a "," + value temporary would
+  // allocate per cell (and GCC 12 misreports it as a -Wrestrict overlap).
+  const auto cell = [&out](const std::string& value) {
+    out += ',';
+    out += value;
+  };
   for (const auto& v : result.per_vehicle) {
     out += std::to_string(v.vehicle);
-    out += "," + std::to_string(v.episodes);
-    out += "," + std::to_string(v.completions);
-    out += "," + std::to_string(v.collisions);
-    out += "," + std::to_string(v.off_roads);
-    out += "," + std::to_string(v.timeouts);
-    out += "," + std::to_string(v.filter_engagements);
-    out += "," + report_fmt(v.avg_speed.empty() ? 0.0 : v.avg_speed.mean());
-    out += "," + std::to_string(v.offloads);
-    out += "," + std::to_string(v.probes);
-    out += "," + std::to_string(v.deadline_misses);
-    out += "," + report_fmt(v.miss_rate());
-    out += "," + std::to_string(v.shed);
-    out += "," + report_fmt(v.response_s.empty() ? 0.0
-                                                 : v.response_s.mean() * 1e3);
-    out += "," + report_fmt(v.energy_actual_j);
-    out += "," + report_fmt(v.energy_baseline_j);
+    cell(std::to_string(v.episodes));
+    cell(std::to_string(v.completions));
+    cell(std::to_string(v.collisions));
+    cell(std::to_string(v.off_roads));
+    cell(std::to_string(v.timeouts));
+    cell(std::to_string(v.filter_engagements));
+    cell(report_fmt(v.avg_speed.empty() ? 0.0 : v.avg_speed.mean()));
+    cell(std::to_string(v.offloads));
+    cell(std::to_string(v.probes));
+    cell(std::to_string(v.deadline_misses));
+    cell(report_fmt(v.miss_rate()));
+    cell(std::to_string(v.shed));
+    cell(report_fmt(v.response_s.empty() ? 0.0 : v.response_s.mean() * 1e3));
+    cell(report_fmt(v.energy_actual_j));
+    cell(report_fmt(v.energy_baseline_j));
     out += "\n";
   }
   return out;

@@ -344,8 +344,6 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
 
     // (b) Lambda'' state estimation (ground truth, as in the paper).
     x = world.state();
-    const double h_now = barrier.value(x, world.obstacles());
-    episode.min_h = std::min(episode.min_h, h_now);
 
     // (c) SEO runtime tick: Algorithm 1 + Omega decide per-frame actions.
     runtime.tick_into(report);
@@ -439,12 +437,19 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
     const Control raw = policy.act(obs);
     Control applied = vehicle_model.clamp(raw);
     bool engaged = false;
+    // The barrier at x: a filtered tick takes it from the filter, whose
+    // h_now folds the same field at the same state to the same bits.
+    double h_now = 0.0;
     if (config.filtered) {
       const FilterDecision decision =
           filter.filter(x, world.obstacles(), raw);
       applied = decision.control;
       engaged = decision.engaged;
+      h_now = decision.h_now;
+    } else {
+      h_now = barrier.value(x, world.obstacles());
     }
+    episode.min_h = std::min(episode.min_h, h_now);
     last_control = applied;
 
     if (trace != nullptr) {

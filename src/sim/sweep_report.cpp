@@ -91,8 +91,14 @@ std::string sweep_csv(const SweepConfig& config,
                       const std::vector<std::vector<double>>& metrics) {
   SEO_ASSERT(points.size() == metrics.size());
   std::string out = "scenario";
-  for (const auto& axis : config.axes) out += "," + axis.key;
-  for (const auto& name : sweep_metric_names()) out += "," + name;
+  // ",value" is appended in two steps: a "," + value temporary would
+  // allocate per cell (and GCC 12 misreports it as a -Wrestrict overlap).
+  const auto cell = [&out](const std::string& value) {
+    out += ',';
+    out += value;
+  };
+  for (const auto& axis : config.axes) cell(axis.key);
+  for (const auto& name : sweep_metric_names()) cell(name);
   out += "\n";
 
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -103,9 +109,9 @@ std::string sweep_csv(const SweepConfig& config,
     SEO_ASSERT(point.assignment.size() == config.axes.size());
     for (std::size_t a = 0; a < config.axes.size(); ++a) {
       SEO_ASSERT(point.assignment[a].first == config.axes[a].key);
-      out += "," + point.assignment[a].second;
+      cell(point.assignment[a].second);
     }
-    for (const double v : metrics[i]) out += "," + report_fmt(v);
+    for (const double v : metrics[i]) cell(report_fmt(v));
     out += "\n";
   }
   return out;

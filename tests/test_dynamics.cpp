@@ -2,6 +2,8 @@
 // geometry — the plant the safety analysis is derived on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -11,6 +13,7 @@
 #include "dynamics/obstacle.hpp"
 #include "dynamics/road.hpp"
 #include "util/expect.hpp"
+#include "util/rng.hpp"
 
 namespace seo {
 namespace {
@@ -53,7 +56,36 @@ TEST_P(WrapAngleTest, ResultInHalfOpenInterval) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, WrapAngleTest,
                          ::testing::Values(-25.0, -7.0, -3.2, -3.14159, 0.0,
-                                           1.0, 3.14159, 3.2, 9.42, 100.0));
+                                           1.0, 3.14159, 3.2, 9.42, 100.0,
+                                           -201.0, 202.0, -1e4, 12345.678));
+
+TEST(WrapAngle, FarAndNonFiniteAnglesReturnPromptly) {
+  // Stepping by 2*pi would take ~|a| / 2pi iterations, and never end once
+  // a - 2*pi == a: far angles must be reduced directly, non-finite ones
+  // rejected as NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double a : {1e15, -1e15, 1e17, -1e17, 1e300,
+                         std::numeric_limits<double>::max()}) {
+    const double wrapped = wrap_angle(a);
+    EXPECT_GT(wrapped, -std::numbers::pi) << a;
+    EXPECT_LE(wrapped, std::numbers::pi) << a;
+  }
+  EXPECT_TRUE(std::isnan(wrap_angle(inf)));
+  EXPECT_TRUE(std::isnan(wrap_angle(-inf)));
+  EXPECT_TRUE(std::isnan(wrap_angle(std::numeric_limits<double>::quiet_NaN())));
+}
+
+TEST(WrapAngle, NearAnglesKeepTheSteppedBits) {
+  // Up to the reduction bound the result is the 2*pi stepping loop's, bit
+  // for bit, so every trajectory and pin computed with it holds.
+  constexpr double kPi = 3.14159265358979323846;
+  for (double a = -64.0 * kPi; a <= 64.0 * kPi; a += 0.37) {
+    double stepped = a;
+    while (stepped > kPi) stepped -= 2.0 * kPi;
+    while (stepped <= -kPi) stepped += 2.0 * kPi;
+    EXPECT_EQ(wrap_angle(a), stepped) << a;
+  }
+}
 
 TEST(Bicycle, StraightLineStaysOnAxis) {
   const BicycleModel model;
@@ -148,6 +180,84 @@ TEST(Bicycle, Rk4AndEulerConvergeForSmallSteps) {
   }
   EXPECT_NEAR(distance(rk.position, eu.position), 0.0, 0.05);
   EXPECT_NEAR(rk.heading, eu.heading, 0.01);
+}
+
+TEST(Bicycle, ReachBoundsEveryEulerMarch) {
+  // Every state of an N-step Euler march under a held control lies within
+  // reach() of the start, in floating point.  The safety filter's pass
+  // certificate and the rollout-phi horizon certificate both stand on it.
+  // Random marches cover any heading and steer, negative, zero, in-range
+  // and above-max speeds and out-of-range throttles.  Tight marches drive
+  // a drag-free model straight along +x far from the origin: the bound is
+  // then exact in real arithmetic, and each step's coordinate rounding
+  // (up to half an ulp of a coordinate near 4e6, the same way every step)
+  // is what the bound's slack must absorb.
+  Rng rng(91);
+  BicycleParams drag_free;
+  drag_free.drag_coeff = 0.0;
+  int tight = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const bool straight = trial % 2 == 1;
+    const BicycleModel model(straight ? drag_free : BicycleParams{});
+    const int steps = std::array{1, 30, 401}[trial % 3];
+    const double dt = trial % 4 < 2 ? 0.005 : 0.02;
+    VehicleState s;
+    Control u;
+    if (straight) {
+      const double far = std::ldexp(rng.uniform(1.0, 2.0), 21);
+      s.position = {trial % 8 < 4 ? far : -far, 0.0};
+      s.speed = rng.uniform(0.0, 14.0);
+      u = Control{0.0, rng.uniform(-0.5, 1.2)};
+    } else {
+      s.position = {rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)};
+      s.heading = rng.uniform(-3.1, 3.1);
+      const int kind = trial % 5;
+      s.speed = kind == 0   ? rng.uniform(-6.0, 0.0)
+                : kind == 1 ? 0.0
+                : kind == 2 ? rng.uniform(25.0, 40.0)
+                            : rng.uniform(0.0, 25.0);
+      u = Control{rng.uniform(-0.7, 0.7), rng.uniform(-1.5, 1.5)};
+    }
+    const HeldControl held = model.hold(u);
+    const double reach = model.reach(s, held.clamped, steps, dt);
+    ASSERT_TRUE(std::isfinite(reach));
+    VehicleState cur = s;
+    long double worst = 0.0L;
+    for (int k = 0; k < steps; ++k) {
+      cur = model.step_euler(cur, held, dt);
+      // Long double differences of doubles this close are exact.
+      const long double dx = static_cast<long double>(cur.position.x) -
+                             static_cast<long double>(s.position.x);
+      const long double dy = static_cast<long double>(cur.position.y) -
+                             static_cast<long double>(s.position.y);
+      worst = std::max(worst, std::sqrt(dx * dx + dy * dy));
+    }
+    EXPECT_LE(worst, static_cast<long double>(reach)) << "trial " << trial;
+    // A tight march ends within twice the bound's relative slack
+    // (steps * 2^-40 of the coordinates) of it: the slack is all that
+    // separates the two.
+    const double slack = steps * 0x1p-40 * (reach + std::abs(s.position.x));
+    if (straight && static_cast<long double>(reach) - worst < 2.0L * slack)
+      ++tight;
+  }
+  EXPECT_GT(tight, 1000);
+  // Non-finite inputs get no bound.
+  const BicycleModel model;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  VehicleState s;
+  s.speed = 5.0;
+  EXPECT_TRUE(std::isnan(model.reach(s, Control{nan, 0.5}, 30, 0.02)));
+  EXPECT_TRUE(std::isnan(model.reach(s, Control{0.0, nan}, 30, 0.02)));
+  VehicleState bad = s;
+  bad.speed = inf;
+  EXPECT_TRUE(std::isnan(model.reach(bad, Control{}, 30, 0.02)));
+  bad = s;
+  bad.heading = nan;
+  EXPECT_TRUE(std::isnan(model.reach(bad, Control{}, 30, 0.02)));
+  bad = s;
+  bad.position.x = inf;
+  EXPECT_TRUE(std::isnan(model.reach(bad, Control{}, 30, 0.02)));
 }
 
 TEST(Bicycle, InvalidParamsRejected) {

@@ -11,12 +11,15 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/binary_io.hpp"
 #include "dynamics/road.hpp"
 #include "safety/barrier.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
 #include "safety/safety_filter.hpp"
+#include "sim/scenario_library.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
 
@@ -805,6 +808,256 @@ TEST(RolloutInterval, MoreConservativeLipschitzBound) {
     if (!l.constrained || !r.constrained) continue;
     EXPECT_LE(l.delta_max_s, r.delta_max_s + 1e-9);
   }
+}
+
+/// The rollout-phi interval of one query the reference way: evaluate()'s
+/// sensing-range check, then the reference march — no horizon certificate,
+/// no shared march.
+SafeInterval reference_interval(const BicycleModel& model,
+                                const Barrier& barrier,
+                                const RolloutIntervalConfig& config,
+                                const VehicleState& s, const Control& u,
+                                const ObstacleField& field) {
+  const auto nearest = field.nearest(s.position);
+  if (!nearest || nearest->surface_distance - barrier.config().body_radius >
+                      config.sensing_range + 1e-9)
+    return SafeInterval{false, 0.0};
+  return SafeInterval{
+      true, reference_crossing_time(model, barrier, config, s, u, field)};
+}
+
+/// Answers evaluate() with reference_interval() and keeps the default
+/// per-cell evaluate_column(), so a table built from it is the per-cell
+/// reference for one built from RolloutSafeInterval.
+class ReferenceRollout : public SafeIntervalEvaluator {
+ public:
+  ReferenceRollout(RolloutIntervalConfig config, BicycleModel model,
+                   Barrier barrier)
+      : config_(config), model_(std::move(model)), barrier_(barrier) {}
+
+  SafeInterval evaluate(const VehicleState& state, const Control& u,
+                        const ObstacleField& field) const override {
+    return reference_interval(model_, barrier_, config_, state, u, field);
+  }
+
+ private:
+  RolloutIntervalConfig config_;
+  BicycleModel model_;
+  Barrier barrier_;
+};
+
+/// A table's cell values, read back from its binary encoding (a fixed
+/// header of three u32 and four f64, then the cells in index order).
+std::vector<double> table_cells(const DeadlineTable& table) {
+  std::string bytes;
+  BinaryWriter out(bytes);
+  table.encode(out);
+  BinaryReader in(bytes);
+  for (int i = 0; i < 3; ++i) (void)in.u32();
+  for (int i = 0; i < 4; ++i) (void)in.f64();
+  std::vector<double> cells(table.cell_count());
+  for (double& cell : cells) cell = in.f64();
+  return cells;
+}
+
+BicycleParams heavy_vehicle_params() {
+  return make_scenario("heavy_vehicle").vehicle;
+}
+
+TEST(RolloutInterval, TableColumnsMatchPerCellReferenceBitExactly) {
+  // A rollout table marches each speed column once and certifies or
+  // sign-tests every cell along that march; the reference evaluates every
+  // cell on its own with the reference march.  Every cell must agree bit
+  // for bit across grids, sensing ranges, speed domains, vehicle models,
+  // bisection depths and a horizon longer than one march block.
+  struct Case {
+    int distance_bins, bearing_bins, speed_bins;
+    double sensing_range, max_speed;
+    BicycleParams model;
+    int bisection_iters;
+    double step_s;
+  };
+  BicycleParams drag_free;
+  drag_free.drag_coeff = 0.0;
+  const Case cases[] = {
+      {41, 25, 21, 40.0, 15.0, BicycleParams{}, 12, 0.005},
+      {9, 7, 5, 30.0, 25.0, heavy_vehicle_params(), 0, 0.005},
+      {13, 9, 6, 60.0, 15.0, heavy_vehicle_params(), 12, 0.005},
+      {11, 9, 5, 50.0, 8.0, drag_free, 0, 0.005},
+      {7, 5, 4, 40.0, 20.0, BicycleParams{}, 12, 0.001},
+  };
+  const Barrier barrier{BarrierConfig{}};
+  const double body = BarrierConfig{}.body_radius;
+  for (const Case& c : cases) {
+    RolloutIntervalConfig rollout;
+    rollout.sensing_range = c.sensing_range;
+    rollout.bisection_iters = c.bisection_iters;
+    rollout.step_s = c.step_s;
+    DeadlineTableConfig grid;
+    grid.distance_bins = c.distance_bins;
+    grid.bearing_bins = c.bearing_bins;
+    grid.speed_bins = c.speed_bins;
+    grid.max_distance = c.sensing_range;
+    grid.max_speed = c.max_speed;
+    const BicycleModel model(c.model);
+    const std::vector<double> got = table_cells(DeadlineTable(
+        grid, RolloutSafeInterval(rollout, model, barrier), body));
+    const std::vector<double> want = table_cells(
+        DeadlineTable(grid, ReferenceRollout(rollout, model, barrier), body));
+    ASSERT_EQ(got.size(), want.size());
+    int crossed = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (want[i] > 0.0 && want[i] < rollout.horizon_s) ++crossed;
+      EXPECT_EQ(bits(got[i]), bits(want[i]))
+          << c.distance_bins << "x" << c.bearing_bins << "x" << c.speed_bins
+          << " range " << c.sensing_range << ": cell (d " 
+          << i / static_cast<std::size_t>(c.speed_bins * c.bearing_bins)
+          << ", chi " << i / static_cast<std::size_t>(c.speed_bins) %
+                             static_cast<std::size_t>(c.bearing_bins)
+          << ", v " << i % static_cast<std::size_t>(c.speed_bins) << ")";
+    }
+    EXPECT_GT(crossed, 0);  // the bisected crossing path is exercised
+  }
+}
+
+TEST(RolloutInterval, ColumnOfAnyStartMatchesPerCellReference) {
+  // evaluate_column() against evaluate() and the reference cell by cell,
+  // from start states off the origin, under held steering and throttle,
+  // with cells beyond the sensing range and cells already inside the
+  // barrier.
+  Rng rng(58);
+  const BicycleModel model{};
+  int crossed = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    BarrierConfig barrier_config;
+    barrier_config.heading_gain = rng.uniform(0.0, 2.0);
+    const Barrier barrier{barrier_config};
+    RolloutIntervalConfig config;
+    config.bisection_iters = rng.uniform_int(0, 12);
+    const RolloutSafeInterval rollout(config, model, barrier);
+    const VehicleState s =
+        state_at(rng.uniform(-50.0, 50.0), rng.uniform(-3.0, 3.0),
+                 rng.uniform(-3.1, 3.1), rng.uniform(0.0, 16.0));
+    const Control u{rng.uniform(-0.7, 0.7), rng.uniform(-1.2, 1.2)};
+    std::vector<Obstacle> column;
+    for (int i = rng.uniform_int(1, 40); i > 0; --i)
+      column.push_back(Obstacle{
+          s.position + Vec2::from_polar(rng.uniform(0.0, 45.0),
+                                        rng.uniform(-3.2, 3.2)),
+          rng.uniform(0.4, 2.0)});
+    std::vector<SafeInterval> out(column.size());
+    rollout.evaluate_column(s, u, column, out);
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      const ObstacleField field({column[i]});
+      const SafeInterval want =
+          reference_interval(model, barrier, config, s, u, field);
+      const SafeInterval one = rollout.evaluate(s, u, field);
+      if (want.constrained && want.delta_max_s > 0.0 &&
+          want.delta_max_s < config.horizon_s)
+        ++crossed;
+      EXPECT_EQ(out[i].constrained, want.constrained) << trial << "/" << i;
+      EXPECT_EQ(bits(out[i].delta_max_s), bits(want.delta_max_s))
+          << trial << "/" << i;
+      EXPECT_EQ(one.constrained, want.constrained) << trial << "/" << i;
+      EXPECT_EQ(bits(one.delta_max_s), bits(want.delta_max_s))
+          << trial << "/" << i;
+    }
+  }
+  EXPECT_GT(crossed, 50);
+}
+
+TEST(RolloutInterval, HorizonCertificateIsSound) {
+  // Whenever the horizon certificate fires, the full reference march must
+  // never cross.  Each trial drives straight along +x at an obstacle met
+  // head-on (chi = 0, g = 1 + gain), finds the obstacle position where the
+  // certificate starts to fire, and checks the five positions within two
+  // ulps of it.  Drag-free trials make the reach bound exact in real
+  // arithmetic, and starts up to ~8e6 m out make each step's coordinate
+  // rounding (the same way every step) add up to far more than the
+  // barrier's own slack: only the reach bound's slack keeps them sound.
+  Rng rng(59);
+  BicycleParams drag_free;
+  drag_free.drag_coeff = 0.0;
+  const Barrier barrier{BarrierConfig{}};
+  int fired = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const BicycleModel model(trial % 3 == 0   ? BicycleParams{}
+                             : trial % 3 == 1 ? drag_free
+                                              : heavy_vehicle_params());
+    RolloutIntervalConfig config;
+    config.sensing_range = 500.0;  // every obstacle below is in range
+    config.bisection_iters = trial % 2 == 0 ? 12 : 0;
+    const RolloutSafeInterval rollout(config, model, barrier);
+    int steps = 0;
+    for (double t = 0.0; t < config.horizon_s; t += config.step_s) ++steps;
+    const double far = std::ldexp(rng.uniform(1.0, 2.0), rng.uniform_int(0, 22));
+    const VehicleState s = state_at(trial % 4 < 2 ? far : -far,
+                                    rng.uniform(-3.0, 3.0), 0.0,
+                                    rng.uniform(0.0, 14.0));
+    const Control u{0.0, rng.uniform(-0.5, 1.2)};
+    const double radius = rng.uniform(0.4, 1.5);
+    const double reach =
+        model.reach(s, model.clamp(u), steps, config.step_s);
+    const auto obstacle_at = [&](double x) {
+      return Obstacle{{x, s.position.y}, radius};
+    };
+    const auto fires = [&](double x) {
+      return barrier.value_and_floor(s, ObstacleField({obstacle_at(x)}), reach)
+                 .floor >= 0.0;
+    };
+    // Bisect the obstacle's x down to the first double that fires.
+    double lo = s.position.x;
+    double hi = s.position.x + 200.0;
+    ASSERT_FALSE(fires(lo));
+    ASSERT_TRUE(fires(hi));
+    for (;;) {
+      const double mid = lo + 0.5 * (hi - lo);
+      if (mid <= lo || mid >= hi) break;
+      (fires(mid) ? hi : lo) = mid;
+    }
+    std::vector<Obstacle> column;
+    double x = hi;
+    for (int k = 0; k < 2; ++k) x = std::nextafter(x, -HUGE_VAL);
+    for (int k = -2; k <= 2; ++k, x = std::nextafter(x, HUGE_VAL))
+      column.push_back(obstacle_at(x));
+    std::vector<SafeInterval> out(column.size());
+    rollout.evaluate_column(s, u, column, out);
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      const ObstacleField field({column[i]});
+      const SafeInterval want =
+          reference_interval(model, barrier, config, s, u, field);
+      ASSERT_TRUE(want.constrained);
+      if (fires(column[i].center.x)) {
+        ++fired;
+        EXPECT_EQ(bits(want.delta_max_s), bits(config.horizon_s))
+            << "trial " << trial << ": certified, yet the march crosses";
+      }
+      EXPECT_EQ(bits(out[i].delta_max_s), bits(want.delta_max_s))
+          << "trial " << trial << " cell " << i;
+      EXPECT_EQ(bits(rollout.evaluate(s, u, field).delta_max_s),
+                bits(want.delta_max_s))
+          << "trial " << trial << " cell " << i;
+    }
+  }
+  EXPECT_EQ(fired, 600 * 3);  // the firing point and the two ulps above it
+}
+
+TEST(RolloutInterval, ConfigContracts) {
+  const Barrier barrier{BarrierConfig{}};
+  RolloutIntervalConfig too_fine;
+  too_fine.step_s = too_fine.horizon_s * 1e-8;  // 10^8 steps
+  EXPECT_THROW(RolloutSafeInterval(too_fine, BicycleModel{}, barrier),
+               ContractViolation);
+  RolloutIntervalConfig endless;
+  endless.horizon_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(RolloutSafeInterval(endless, BicycleModel{}, barrier),
+               ContractViolation);
+  const RolloutSafeInterval rollout(RolloutIntervalConfig{}, BicycleModel{},
+                                    barrier);
+  std::vector<Obstacle> column(3, Obstacle{{10.0, 0.0}, 1.0});
+  std::vector<SafeInterval> out(2);
+  EXPECT_THROW(rollout.evaluate_column(VehicleState{}, Control{}, column, out),
+               ContractViolation);
 }
 
 // --- Deadline lookup table ---------------------------------------------------

@@ -11,11 +11,12 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/binary_io.hpp"
 #include "nn/cem.hpp"
 #include "safety/deadline_table.hpp"
 #include "safety/safe_interval.hpp"
@@ -229,29 +230,37 @@ TEST(ThreadPool, ResolveThreadsMapsKnobToWorkerCount) {
 
 // --- Serial equivalence of the parallel users ------------------------------
 
-std::string table_text(const DeadlineTable& table) {
-  std::ostringstream out;
-  table.save(out);
-  return out.str();
+/// A table's binary encoding: raw IEEE-754 cell bits, so equal bytes <=>
+/// bit-identical cells.
+std::string table_bytes(const DeadlineTable& table) {
+  std::string bytes;
+  BinaryWriter out(bytes);
+  table.encode(out);
+  return bytes;
 }
 
 TEST(ParallelDeadlineTable, BitIdenticalToSerialBuild) {
+  // Both sources: the Lipschitz certificate through the default per-cell
+  // column loop, and the rollout through its shared per-column march.
   const Barrier barrier{BarrierConfig{}};
-  const LipschitzSafeInterval source(LipschitzIntervalConfig{}, barrier);
   const double body = BarrierConfig{}.body_radius;
-
-  DeadlineTableConfig serial_config;
-  serial_config.threads = 1;
-  const DeadlineTable serial(serial_config, source, body);
-
-  for (const int threads : {2, 4, 8}) {
-    DeadlineTableConfig parallel_config;
-    parallel_config.threads = threads;
-    const DeadlineTable parallel(parallel_config, source, body);
-    // save() prints with 17 significant digits, which round-trips doubles
-    // exactly: identical text <=> bit-identical cell values.
-    EXPECT_EQ(table_text(serial), table_text(parallel))
-        << "table built with " << threads << " threads diverged";
+  const LipschitzSafeInterval lipschitz(LipschitzIntervalConfig{}, barrier);
+  const RolloutSafeInterval rollout(RolloutIntervalConfig{}, BicycleModel{},
+                                    barrier);
+  for (const SafeIntervalEvaluator* source :
+       {static_cast<const SafeIntervalEvaluator*>(&lipschitz),
+        static_cast<const SafeIntervalEvaluator*>(&rollout)}) {
+    DeadlineTableConfig serial_config;
+    serial_config.threads = 1;
+    const std::string serial =
+        table_bytes(DeadlineTable(serial_config, *source, body));
+    for (const int threads : {2, 4, 8}) {
+      DeadlineTableConfig parallel_config;
+      parallel_config.threads = threads;
+      EXPECT_EQ(serial,
+                table_bytes(DeadlineTable(parallel_config, *source, body)))
+          << "table built with " << threads << " threads diverged";
+    }
   }
 }
 

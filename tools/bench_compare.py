@@ -55,6 +55,7 @@ DEFAULT_NAMES = [
     "BM_MlpForwardWorkspace",
     "BM_RolloutInterval",
     "BM_RolloutPhiCache",
+    "BM_RolloutTableBuild",
     "BM_SafetyFilterEngaged",
     "BM_SafetyFilterEngagedRoad",
     "BM_SafetyFilterPass",

@@ -3,10 +3,13 @@
 
 Usage:
     bench/micro_hotpaths --benchmark_format=json | tools/bench_to_json.py
-    tools/bench_to_json.py raw.json [-o BENCH_hotpaths.json]
+    tools/bench_to_json.py raw.json [more.json ...] [-o BENCH_hotpaths.json]
 
 A baseline is best taken with repetitions (e.g. --benchmark_repetitions=5);
-each benchmark then records the median of its repeats.
+each benchmark then records the median of its repeats.  Several inputs
+merge into one file, a later input's entry replacing an earlier one of the
+same name: a quick full pass followed by a repeated pass over a few names
+keeps the medians of those names and the single samples of the rest.
 
 Keeps one entry per benchmark (name -> real/cpu time) plus enough host
 context to interpret the numbers across machines, so successive commits of
@@ -69,19 +72,26 @@ def convert(raw: dict, commit: str | None = None) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("input", nargs="?", default="-",
-                        help="google-benchmark JSON file (default: stdin)")
+    parser.add_argument("inputs", nargs="*", default=["-"],
+                        help="google-benchmark JSON files (default: stdin); "
+                             "later files override earlier entries")
     parser.add_argument("-o", "--output", default="BENCH_hotpaths.json",
                         help="output path (default: BENCH_hotpaths.json)")
     args = parser.parse_args()
 
-    if args.input == "-":
-        raw = json.load(sys.stdin)
-    else:
-        with open(args.input) as f:
-            raw = json.load(f)
-
-    result = convert(raw, checkout_commit())
+    commit = checkout_commit()
+    result = None
+    for path in args.inputs:
+        if path == "-":
+            raw = json.load(sys.stdin)
+        else:
+            with open(path) as f:
+                raw = json.load(f)
+        part = convert(raw, commit)
+        if result is None:
+            result = part
+        else:
+            result["benchmarks"].update(part["benchmarks"])
     with open(args.output, "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)
         f.write("\n")
