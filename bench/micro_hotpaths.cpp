@@ -301,42 +301,10 @@ void BM_RolloutTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RolloutTableBuild)->Unit(benchmark::kMillisecond);
 
-// Process-level scaling of the distributed sweep: end-to-end wall time of
-// `sweep --smoke --workers N` with single-threaded workers, so the worker
-// fan-out is the only parallelism.  Every arm shells out to the real tool
-// (workers:1 included) so spawn + pipe-merge overhead is inside the
-// measurement on both sides of the ratio — the scaling gate
-// (tools/bench_compare.py) requires workers:4 <= 0.6x workers:1 real time
-// on machines with >= 4 cores.  Episodes are padded up so per-point
-// episode work dominates the one table build each worker process repeats
-// (the in-memory artifact store is per-process; --cache dir= would share
-// it, but the benchmark must not touch the filesystem between runs).
 #ifdef SEO_SWEEP_TOOL
-void BM_SweepWorkers(benchmark::State& state) {
-  const std::string cmd =
-      std::string(SEO_SWEEP_TOOL) +
-      " --smoke --episodes 8 --max-attempts 32 --threads 1 --workers " +
-      std::to_string(state.range(0)) + " --output /dev/null 2>/dev/null";
-  for (auto _ : state) {
-    const int rc = std::system(cmd.c_str());
-    if (rc != 0) {
-      state.SkipWithError("sweep exited nonzero");
-      break;
-    }
-  }
-}
-// UseRealTime: the work happens in child processes, so this process's CPU
-// clock stays near zero — iteration scaling must follow wall time.
-BENCHMARK(BM_SweepWorkers)
-    ->ArgName("workers")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// In-process scaling of the sweep: the same grid in one process at
-// `--threads N`, so the pool's point claims are the only parallelism.  The
+// In-process scaling of the sweep: end-to-end wall time of `sweep --smoke`
+// at `--threads N`, so the pool's point claims are the only parallelism.
+// Every arm shells out to the real tool, threads:1 included.  The
 // smoke grid's per-point cost spans several times between scenarios, so a
 // static split of the points would leave threads idle behind the slowest
 // share; the scaling gate requires threads:4 <= 0.4x threads:1 real time
@@ -453,11 +421,9 @@ void BM_CemWeightsCache(benchmark::State& state) {
 }
 BENCHMARK(BM_CemWeightsCache);
 
-// Artifact payload parse, v1 text vs v2 binary: the cost a cold process
-// pays per disk load before it can serve a table.  The binary decode is a
-// header check plus one contiguous memcpy of raw IEEE-754 cells; the text
-// parse it replaced ran every cell through locale-independent decimal
-// parsing.  Both parse the identical table so the ratio is the format win.
+// Artifact payload parse: the cost a cold process pays per disk load
+// before it can serve a table — a header check plus one contiguous memcpy
+// of raw IEEE-754 cells.
 DeadlineTable payload_bench_table() {
   DeadlineTableKey key;
   key.table.max_distance = LipschitzIntervalConfig{}.sensing_range;
@@ -466,20 +432,6 @@ DeadlineTable payload_bench_table() {
   const LipschitzSafeInterval source(key.interval, barrier, Road(key.road));
   return DeadlineTable(key.table, source, key.body_radius);
 }
-
-void BM_ArtifactPayloadParseText(benchmark::State& state) {
-  const DeadlineTable table = payload_bench_table();
-  std::ostringstream out;
-  table.save(out);
-  const std::string text = out.str();
-  for (auto _ : state) {
-    std::istringstream in(text);
-    benchmark::DoNotOptimize(DeadlineTable::load(in));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_ArtifactPayloadParseText)->Unit(benchmark::kMicrosecond);
 
 void BM_ArtifactPayloadParseBinary(benchmark::State& state) {
   const DeadlineTable table = payload_bench_table();

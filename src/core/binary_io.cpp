@@ -82,45 +82,4 @@ std::uint64_t BinaryReader::gather(std::size_t size) {
   return v;
 }
 
-void append_frame(std::string& out, std::uint8_t type,
-                  std::string_view payload) {
-  BinaryWriter frame(out);
-  const std::size_t start = frame.mark();
-  frame.u8(type);
-  frame.u64(payload.size());
-  frame.bytes(payload.data(), payload.size());
-  frame.checksum_from(start);
-}
-
-bool FrameAssembler::next(std::uint8_t& type, std::string& payload) {
-  constexpr std::size_t kHead = 1 + 8;  // type + payload size
-  const std::size_t available = buffer_.size() - consumed_;
-  if (available < kHead) return false;
-  BinaryReader head(std::string_view(buffer_).substr(consumed_, kHead));
-  const std::uint8_t frame_type = head.u8();
-  const std::uint64_t size = head.u64();
-  // Validate the length field before waiting for the body: a corrupt size
-  // must fail now, not stall the reader "waiting" for garbage bytes.
-  if (size > max_payload_)
-    throw BinaryIoError("frame payload length " + std::to_string(size) +
-                        " exceeds cap " + std::to_string(max_payload_));
-  const std::size_t frame_size = kHead + static_cast<std::size_t>(size) + 8;
-  if (available < frame_size) return false;
-  BinaryReader frame(std::string_view(buffer_).substr(consumed_, frame_size));
-  const std::size_t mark = frame.offset();
-  (void)frame.u8();
-  (void)frame.u64();
-  payload.assign(frame.view(static_cast<std::size_t>(size)));
-  frame.verify_checksum_from(mark, "frame");
-  type = frame_type;
-  consumed_ += frame_size;
-  // Compact once the consumed prefix dominates, keeping steady-state
-  // memory at one in-flight frame without per-frame erases.
-  if (consumed_ > 4096 && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  return true;
-}
-
 }  // namespace seo

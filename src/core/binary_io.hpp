@@ -131,53 +131,4 @@ class BinaryReader {
   std::size_t offset_ = 0;
 };
 
-/// Incremental frame extraction over a byte stream that arrives in
-/// arbitrary slices — the pipe reader behind the multi-process sweep.  A
-/// frame is the canonical seo discipline at u64 width:
-///
-///   u8 type | u64 payload_size | payload | u64 checksum
-///            (FNV-1a over type + size + payload bytes)
-///
-/// feed() appends whatever a read(2) returned; next() yields one complete,
-/// checksum-verified frame at a time and returns false while the tail of
-/// the current frame is still in flight.  A corrupt length field or digest
-/// throws BinaryIoError immediately — a damaged stream is never silently
-/// resynchronized.  Consumed bytes are compacted away, so steady-state
-/// memory is one in-flight frame, not the stream length.
-class FrameAssembler {
- public:
-  explicit FrameAssembler(std::uint64_t max_payload = kDefaultMaxPayload)
-      : max_payload_(max_payload) {}
-
-  void feed(const char* data, std::size_t size) {
-    buffer_.append(data, size);
-  }
-
-  /// Extracts the next complete frame into (type, payload).  Returns false
-  /// when more bytes are needed; throws BinaryIoError on an oversized
-  /// length field or a checksum mismatch.
-  bool next(std::uint8_t& type, std::string& payload);
-
-  /// True when no partial frame is buffered — how a reader distinguishes a
-  /// clean end-of-stream from truncation mid-frame.
-  bool idle() const { return buffer_.size() == consumed_; }
-
-  /// Bytes of the current partial frame still buffered.
-  std::size_t buffered() const { return buffer_.size() - consumed_; }
-
-  /// Big enough for any serialized grid-point trace block, small enough
-  /// that a corrupt length field cannot drive a runaway allocation.
-  static constexpr std::uint64_t kDefaultMaxPayload = 1ull << 30;
-
- private:
-  std::string buffer_;
-  std::size_t consumed_ = 0;  ///< prefix of buffer_ already handed out
-  std::uint64_t max_payload_;
-};
-
-/// Appends one FrameAssembler-format frame (u8 type, u64 size, payload,
-/// FNV-1a checksum) to `out` — the writer side of the pipe discipline.
-void append_frame(std::string& out, std::uint8_t type,
-                  std::string_view payload);
-
 }  // namespace seo

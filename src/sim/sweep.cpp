@@ -205,32 +205,40 @@ std::vector<std::size_t> SweepPlan::shard_points(std::size_t shard,
   return owned;
 }
 
-void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
-                          const std::vector<std::size_t>& owned,
-                          bool want_trace, const SweepEmit& emit) {
-  SEO_EXPECT(std::is_sorted(owned.begin(), owned.end()));
+std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
+                                      std::size_t shard, std::size_t shards) {
+  const SweepPlan plan = plan_sweep(config);
+  const std::vector<std::size_t> owned = plan.shard_points(shard, shards);
+  OrderedTraceSink* const sink = config.trace_sink;
+  if (sink != nullptr) sink->set_run_digest(plan.run_digest);
+
   // Restrict the digest-grouped schedule to the owned set, preserving its
-  // order — an unsharded run (owned = everything) executes exactly the
-  // schedule run_sweep always has.
-  std::vector<std::size_t> exec;
+  // order — an unsharded run (owned = everything) executes the whole
+  // schedule.  Each entry carries the point's local rank, its position
+  // among the owned indices: the grid index itself when unsharded, and for
+  // a shard a dense sink sequence whose flush order is ascending grid
+  // index — the sorted-stream property trace-merge requires.
+  std::vector<std::pair<std::size_t, std::size_t>> exec;  // (grid, local)
   exec.reserve(owned.size());
   for (const auto& [rank, i] : plan.order) {
     (void)rank;
-    if (std::binary_search(owned.begin(), owned.end(), i)) exec.push_back(i);
+    const auto it = std::lower_bound(owned.begin(), owned.end(), i);
+    if (it != owned.end() && *it == i)
+      exec.emplace_back(i, static_cast<std::size_t>(it - owned.begin()));
   }
-  SEO_EXPECT(exec.size() == owned.size());
 
   // Each grid point is an independent shard with its own slot: shards may
   // finish in any order (and, above, deliberately run out of grid order),
-  // but emissions carry the grid index and each shard's experiment is
-  // internally serial, so the assembled result — hence every report and
-  // trace stream — is bit-identical to the serial sweep for every thread
-  // count, worker count, and schedule.
+  // but every result lands at its local rank and each shard's experiment
+  // is internally serial, so the assembled rows — hence every report and
+  // trace stream — are bit-identical to the serial sweep for every thread
+  // count and schedule.
+  std::vector<SweepRow> rows(owned.size());
   const std::size_t workers = ThreadPool::resolve_threads(config.threads);
   ThreadPool::run_capped(
       0, exec.size(), workers, [&](IndexCursor& schedule) {
         for (std::size_t s = 0; schedule.claim(s);) {
-          const std::size_t i = exec[s];
+          const auto [i, local] = exec[s];
           ExperimentConfig experiment;
           experiment.scenario = plan.resolved[i];
           experiment.episodes = config.episodes;
@@ -239,12 +247,12 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
           experiment.require_success = config.require_success;
           experiment.threads = 1;  // parallelism lives at the grid level
           // Streaming traces: the tap serializes every consumed episode
-          // into this point's block; the caller commits the block under
-          // the point's sequence number, so an ordered merge reproduces
-          // the serial stream byte-for-byte whatever the schedule was.
+          // into this point's block, committed under the point's local
+          // rank, so the sink's ordered flush reproduces the serial stream
+          // byte-for-byte whatever the schedule was.
           std::string block;
           std::uint64_t block_episodes = 0;
-          if (want_trace) {
+          if (sink != nullptr) {
             TraceEpisodeInfo info;
             info.scenario_digest = plan.digests[i];
             info.point_index = static_cast<std::uint32_t>(i);
@@ -261,35 +269,13 @@ void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
               ++block_episodes;
             };
           }
-          SweepRow row;
+          SweepRow& row = rows[local];
           row.point = plan.points[i];
           row.scenario = experiment.scenario;
           row.result = run_experiment(experiment);
-          emit(i, std::move(row), std::move(block), block_episodes);
+          if (sink != nullptr)
+            sink->commit(local, std::move(block), block_episodes);
         }
-      });
-}
-
-std::vector<SweepRow> run_sweep_shard(const SweepConfig& config,
-                                      std::size_t shard, std::size_t shards) {
-  const SweepPlan plan = plan_sweep(config);
-  const std::vector<std::size_t> owned = plan.shard_points(shard, shards);
-  if (config.trace_sink != nullptr)
-    config.trace_sink->set_run_digest(plan.run_digest);
-  std::vector<SweepRow> rows(owned.size());
-  execute_sweep_points(
-      config, plan, owned, config.trace_sink != nullptr,
-      [&](std::size_t index, SweepRow&& row, std::string&& block,
-          std::uint64_t episodes) {
-        // Local rank = the point's position among the owned indices.  For
-        // the unsharded case that is the grid index itself; for a shard it
-        // yields dense sink sequences whose flush order is ascending grid
-        // index — the sorted-stream property trace-merge requires.
-        const auto it = std::lower_bound(owned.begin(), owned.end(), index);
-        const auto local = static_cast<std::size_t>(it - owned.begin());
-        rows[local] = std::move(row);
-        if (config.trace_sink != nullptr)
-          config.trace_sink->commit(local, std::move(block), episodes);
       });
   return rows;
 }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,9 +97,9 @@ ScenarioConfig resolve_point(const SweepConfig& config,
 /// expanded grid, each point's resolved scenario and deadline-table digest,
 /// the digest-grouped execution schedule, and the run digest (every point's
 /// table digest mixed in grid order — the identity shards and trace merges
-/// key on).  A plan is a pure function of the config, so every process
-/// given the same config — the parent, each `--workers` child, a `--shard`
-/// run on another host — computes the identical plan independently.
+/// key on).  A plan is a pure function of the config, so every `--shard`
+/// run given the same config computes the identical plan independently,
+/// on whichever host it runs.
 struct SweepPlan {
   std::vector<SweepPoint> points;        ///< grid order
   std::vector<ScenarioConfig> resolved;  ///< per point (overrides applied)
@@ -123,25 +122,6 @@ struct SweepPlan {
 /// Expands and schedules `config` (see SweepPlan).  Throws exactly where
 /// expand_grid does.
 SweepPlan plan_sweep(const SweepConfig& config);
-
-/// Per-completed-point callback of execute_sweep_points: the grid index,
-/// the finished row, and — when tracing was requested — the point's
-/// serialized trace block with its episode count.  Invoked concurrently
-/// from pool threads; the callee synchronizes.
-using SweepEmit = std::function<void(
-    std::size_t index, SweepRow&& row, std::string&& trace_block,
-    std::uint64_t trace_episodes)>;
-
-/// Runs the `owned` subset (ascending grid indices) of a planned sweep,
-/// threads claiming points one at a time in digest-grouped order, and
-/// hands each finished point to `emit`.  The execution core under
-/// run_sweep, run_sweep_shard, and the --workers pipe workers — one body,
-/// so every mode computes bit-identical rows and trace bytes.
-/// `config.trace_sink` is ignored here; trace blocks are produced iff
-/// `want_trace` and routed by the caller.
-void execute_sweep_points(const SweepConfig& config, const SweepPlan& plan,
-                          const std::vector<std::size_t>& owned,
-                          bool want_trace, const SweepEmit& emit);
 
 /// Runs every grid point and returns rows in grid order.  Deterministic
 /// for a fixed config, independent of `config.threads`.

@@ -67,29 +67,8 @@ std::vector<double> sweep_metrics(const SweepRow& row) {
   };
 }
 
-std::vector<std::vector<double>> sweep_metric_rows(
-    const std::vector<SweepRow>& rows) {
-  std::vector<std::vector<double>> metrics;
-  metrics.reserve(rows.size());
-  for (const auto& row : rows) metrics.push_back(sweep_metrics(row));
-  return metrics;
-}
-
-namespace {
-
-std::vector<SweepPoint> report_points(const std::vector<SweepRow>& rows) {
-  std::vector<SweepPoint> points;
-  points.reserve(rows.size());
-  for (const auto& row : rows) points.push_back(row.point);
-  return points;
-}
-
-}  // namespace
-
 std::string sweep_csv(const SweepConfig& config,
-                      const std::vector<SweepPoint>& points,
-                      const std::vector<std::vector<double>>& metrics) {
-  SEO_ASSERT(points.size() == metrics.size());
+                      const std::vector<SweepRow>& rows) {
   std::string out = "scenario";
   // ",value" is appended in two steps: a "," + value temporary would
   // allocate per cell (and GCC 12 misreports it as a -Wrestrict overlap).
@@ -101,8 +80,8 @@ std::string sweep_csv(const SweepConfig& config,
   for (const auto& name : sweep_metric_names()) cell(name);
   out += "\n";
 
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& point = points[i];
+  for (const SweepRow& row : rows) {
+    const SweepPoint& point = row.point;
     out += point.scenario;
     // Axis values in config.axes order — assignment order matches for both
     // cartesian and paired expansion.
@@ -111,36 +90,30 @@ std::string sweep_csv(const SweepConfig& config,
       SEO_ASSERT(point.assignment[a].first == config.axes[a].key);
       cell(point.assignment[a].second);
     }
-    for (const double v : metrics[i]) cell(report_fmt(v));
+    for (const double v : sweep_metrics(row)) cell(report_fmt(v));
     out += "\n";
   }
   return out;
 }
 
-std::string sweep_csv(const SweepConfig& config,
-                      const std::vector<SweepRow>& rows) {
-  return sweep_csv(config, report_points(rows), sweep_metric_rows(rows));
-}
-
 std::string sweep_json(const SweepConfig& config,
-                       const std::vector<SweepPoint>& points,
-                       const std::vector<std::vector<double>>& metrics) {
-  SEO_ASSERT(points.size() == metrics.size());
+                       const std::vector<SweepRow>& rows) {
   std::ostringstream out;
   out << "{\n  \"sweep\": {\n"
       << "    \"episodes\": " << config.episodes << ",\n"
       << "    \"base_seed\": " << config.base_seed << ",\n"
       << "    \"grid\": \""
       << (config.grid == GridMode::kCartesian ? "cartesian" : "paired")
-      << "\",\n    \"points\": " << points.size() << "\n  },\n"
+      << "\",\n    \"points\": " << rows.size() << "\n  },\n"
       << "  \"rows\": {";
   const auto names = sweep_metric_names();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    SEO_ASSERT(metrics[i].size() == names.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::vector<double> metrics = sweep_metrics(rows[i]);
+    SEO_ASSERT(metrics.size() == names.size());
     out << (i == 0 ? "\n" : ",\n");
-    out << "    \"" << report_json_escape(points[i].label()) << "\": {\n";
+    out << "    \"" << report_json_escape(rows[i].point.label()) << "\": {\n";
     for (std::size_t m = 0; m < names.size(); ++m) {
-      out << "      \"" << names[m] << "\": " << report_fmt(metrics[i][m])
+      out << "      \"" << names[m] << "\": " << report_fmt(metrics[m])
           << (m + 1 < names.size() ? "," : "") << "\n";
     }
     out << "    }";
@@ -149,30 +122,17 @@ std::string sweep_json(const SweepConfig& config,
   return out.str();
 }
 
-std::string sweep_json(const SweepConfig& config,
-                       const std::vector<SweepRow>& rows) {
-  return sweep_json(config, report_points(rows), sweep_metric_rows(rows));
-}
-
 void write_sweep_report(std::ostream& out, const std::string& format,
                         const SweepConfig& config,
-                        const std::vector<SweepPoint>& points,
-                        const std::vector<std::vector<double>>& metrics) {
+                        const std::vector<SweepRow>& rows) {
   if (format == "csv") {
-    out << sweep_csv(config, points, metrics);
+    out << sweep_csv(config, rows);
   } else if (format == "json") {
-    out << sweep_json(config, points, metrics);
+    out << sweep_json(config, rows);
   } else {
     throw ContractViolation("unknown sweep report format: " + format +
                             " (csv|json)");
   }
-}
-
-void write_sweep_report(std::ostream& out, const std::string& format,
-                        const SweepConfig& config,
-                        const std::vector<SweepRow>& rows) {
-  write_sweep_report(out, format, config, report_points(rows),
-                     sweep_metric_rows(rows));
 }
 
 }  // namespace seo

@@ -32,44 +32,19 @@ std::vector<std::string> sweep_metric_names();
 /// The metric values for one row, in sweep_metric_names() order.
 std::vector<double> sweep_metrics(const SweepRow& row);
 
-/// sweep_metrics over every row — the (points × metrics) matrix form a
-/// report renders from.  This is also the multi-process wire unit: worker
-/// shards ship each row's doubles as raw IEEE bits, so a report merged
-/// from workers renders from bit-identical inputs.
-std::vector<std::vector<double>> sweep_metric_rows(
-    const std::vector<SweepRow>& rows);
-
 /// CSV: header (scenario, axis keys..., metrics...) then one line per grid
 /// point.  Axis columns come from `config.axes` order.
 std::string sweep_csv(const SweepConfig& config,
                       const std::vector<SweepRow>& rows);
 
-/// Matrix form: `metrics[i]` is row i's values in sweep_metric_names()
-/// order.  The SweepRow overload delegates here, so the in-process and
-/// merged-from-workers paths render through one body and cannot drift.
-std::string sweep_csv(const SweepConfig& config,
-                      const std::vector<SweepPoint>& points,
-                      const std::vector<std::vector<double>>& metrics);
-
 /// JSON: {"sweep": {context...}, "rows": {"<label>": {metrics...}}}.
 std::string sweep_json(const SweepConfig& config,
                        const std::vector<SweepRow>& rows);
-
-/// Matrix form (see sweep_csv).
-std::string sweep_json(const SweepConfig& config,
-                       const std::vector<SweepPoint>& points,
-                       const std::vector<std::vector<double>>& metrics);
 
 /// Renders to `out` in the named format ("csv" or "json"; throws
 /// ContractViolation otherwise).
 void write_sweep_report(std::ostream& out, const std::string& format,
                         const SweepConfig& config,
                         const std::vector<SweepRow>& rows);
-
-/// Matrix form (see sweep_csv).
-void write_sweep_report(std::ostream& out, const std::string& format,
-                        const SweepConfig& config,
-                        const std::vector<SweepPoint>& points,
-                        const std::vector<std::vector<double>>& metrics);
 
 }  // namespace seo

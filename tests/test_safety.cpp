@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/binary_io.hpp"
@@ -1128,7 +1128,7 @@ TEST(DeadlineTable, ConfigContracts) {
   DeadlineTableConfig bad;
   bad.distance_bins = 1;
   EXPECT_THROW(DeadlineTable(bad, source, 0.9), ContractViolation);
-  // Build enforces the same domain contract load() does, so every
+  // Build enforces the same domain contract decode() does, so every
   // buildable table round-trips: degenerate radii fail up front.
   DeadlineTableConfig zero_obstacle;
   zero_obstacle.obstacle_radius = 0.0;
@@ -1139,78 +1139,109 @@ TEST(DeadlineTable, ConfigContracts) {
 
 // --- Serialization ----------------------------------------------------------
 
-/// A small real table plus its serialized text, shared by the save/load
-/// hardening tests below.
-std::string small_table_text() {
+/// A small real table, shared by the encode/decode hardening tests below.
+DeadlineTable small_table() {
   const Barrier barrier{BarrierConfig{}};
   const LipschitzSafeInterval source(LipschitzIntervalConfig{}, barrier);
   DeadlineTableConfig config;
   config.distance_bins = 3;
   config.bearing_bins = 3;
   config.speed_bins = 2;
-  const DeadlineTable table(config, source, BarrierConfig{}.body_radius);
-  std::ostringstream out;
-  table.save(out);
-  return out.str();
+  return DeadlineTable(config, source, BarrierConfig{}.body_radius);
+}
+
+std::string encoded(const DeadlineTable& table) {
+  std::string payload;
+  BinaryWriter out(payload);
+  table.encode(out);
+  return payload;
+}
+
+DeadlineTable decoded(const std::string& payload) {
+  BinaryReader in{std::string_view(payload)};
+  return DeadlineTable::decode(in);
+}
+
+/// A hand-built payload in the encode() layout: shape, the four domain
+/// scalars, then `cells` zero cells (or `cell` at index `at`).
+std::string payload_of(std::uint32_t distance_bins, std::uint32_t bearing_bins,
+                       std::uint32_t speed_bins, double max_distance,
+                       double max_speed, double obstacle_radius,
+                       double body_radius, std::size_t cells,
+                       std::size_t at = 0, double cell = 0.0) {
+  std::string payload;
+  BinaryWriter out(payload);
+  out.u32(distance_bins);
+  out.u32(bearing_bins);
+  out.u32(speed_bins);
+  out.f64(max_distance);
+  out.f64(max_speed);
+  out.f64(obstacle_radius);
+  out.f64(body_radius);
+  for (std::size_t i = 0; i < cells; ++i) out.f64(i == at ? cell : 0.0);
+  return payload;
 }
 
 TEST(DeadlineTableIo, RoundTripsExactly) {
-  const std::string text = small_table_text();
-  std::istringstream in(text);
-  const DeadlineTable loaded = DeadlineTable::load(in);
-  std::ostringstream again;
-  loaded.save(again);
-  EXPECT_EQ(again.str(), text);
+  const DeadlineTable table = small_table();
+  const std::string payload = encoded(table);
+  const DeadlineTable loaded = decoded(payload);
+  EXPECT_EQ(encoded(loaded), payload);
   EXPECT_EQ(loaded.body_radius(), BarrierConfig{}.body_radius);
+  EXPECT_EQ(loaded.cell_count(), table.cell_count());
+  Rng rng(5);
+  for (int i = 0; i < 100; ++i) {
+    const double d = rng.uniform(0.0, 45.0);
+    const double chi = rng.uniform(-3.5, 3.5);
+    const double v = rng.uniform(0.0, 16.0);
+    EXPECT_EQ(loaded.sample(d, chi, v), table.sample(d, chi, v));
+  }
 }
 
-TEST(DeadlineTableIo, SaveRestoresCallerPrecision) {
-  const Barrier barrier{BarrierConfig{}};
-  const LipschitzSafeInterval source(LipschitzIntervalConfig{}, barrier);
-  DeadlineTableConfig config;
-  config.distance_bins = 2;
-  config.bearing_bins = 2;
-  config.speed_bins = 2;
-  const DeadlineTable table(config, source, 0.9);
-
-  std::ostringstream out;
-  out.precision(3);
-  table.save(out);
-  EXPECT_EQ(out.precision(), 3);
-  // The stream must keep rendering at the caller's precision afterwards.
-  out.str("");
-  out << 1.0 / 3.0;
-  EXPECT_EQ(out.str(), "0.333");
-}
-
-TEST(DeadlineTableIo, LoadRejectsCorruptInput) {
-  const std::string good = small_table_text();
-
-  const auto load_fails = [](const std::string& text) {
-    std::istringstream in(text);
-    EXPECT_THROW(DeadlineTable::load(in), ContractViolation) << text;
+TEST(DeadlineTableIo, DecodeRejectsCorruptInput) {
+  const auto decode_fails = [](const std::string& payload) {
+    EXPECT_THROW(decoded(payload), ContractViolation)
+        << payload.size() << " bytes";
   };
 
-  // Wrong magic / version.
-  load_fails("not-a-table 1\n2 2 2\n40 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 7\n2 2 2\n40 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  // Degenerate grids.
-  load_fails("seo-dtable 1\n1 2 2\n40 15 0.8 0.9\n0 0 0 0\n");
+  // Wrong shape: degenerate grids, a dimension over the 100000-bin cap,
+  // and a shape whose cell count wraps size_t (4194304^3 = 2^66 -> 0) —
+  // it must throw, never construct a table that later samples out of
+  // bounds.
+  decode_fails(payload_of(1, 2, 2, 40, 15, 0.8, 0.9, 4));
+  decode_fails(payload_of(2, 0, 2, 40, 15, 0.8, 0.9, 0));
+  decode_fails(payload_of(100001, 2, 2, 40, 15, 0.8, 0.9, 0));
+  decode_fails(payload_of(4194304, 4194304, 4194304, 40, 15, 0.8, 0.9, 0));
+  // A shape that disagrees with the cell block.
+  decode_fails(payload_of(2, 2, 2, 40, 15, 0.8, 0.9, 7));
+  decode_fails(payload_of(2, 2, 2, 40, 15, 0.8, 0.9, 9));
   // Non-positive domain scalars must not pass into episodes.
-  load_fails("seo-dtable 1\n2 2 2\n-40 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 0 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 15 -0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 15 0.8 0\n0 0 0 0 0 0 0 0\n");
-  // Unparseable / non-finite scalars and cells (stream-fail or isfinite,
-  // whichever the platform's num_get produces — both must throw).
-  load_fails("seo-dtable 1\n2 2 2\nnan 15 0.8 0.9\n0 0 0 0 0 0 0 0\n");
-  load_fails("seo-dtable 1\n2 2 2\n40 15 0.8 0.9\n0 0 0 inf 0 0 0 0\n");
-  // Truncated payload.
-  load_fails(good.substr(0, good.size() / 2));
-  // The untampered text still loads (the guards reject corruption, not
-  // legitimate tables).
-  std::istringstream in(good);
-  EXPECT_NO_THROW(DeadlineTable::load(in));
+  decode_fails(payload_of(2, 2, 2, -40, 15, 0.8, 0.9, 8));
+  decode_fails(payload_of(2, 2, 2, 40, 0, 0.8, 0.9, 8));
+  decode_fails(payload_of(2, 2, 2, 40, 15, -0.8, 0.9, 8));
+  decode_fails(payload_of(2, 2, 2, 40, 15, 0.8, 0, 8));
+  // Non-finite scalars and cells.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  decode_fails(payload_of(2, 2, 2, nan, 15, 0.8, 0.9, 8));
+  decode_fails(payload_of(2, 2, 2, 40, inf, 0.8, 0.9, 8));
+  decode_fails(payload_of(2, 2, 2, 40, 15, 0.8, 0.9, 8, 3, inf));
+  decode_fails(payload_of(2, 2, 2, 40, 15, 0.8, 0.9, 8, 5, nan));
+
+  // Truncation: inside the cell block the byte count no longer matches
+  // the shape; inside the header the reader itself refuses to overrun.
+  const std::string good = encoded(small_table());
+  decode_fails(good.substr(0, good.size() - 8));
+  decode_fails(good.substr(0, good.size() / 2));
+  decode_fails(good + std::string(8, '\0'));
+  EXPECT_THROW(decoded(good.substr(0, 20)), BinaryIoError);
+  EXPECT_THROW(decoded(std::string()), BinaryIoError);
+  EXPECT_THROW(decoded("not-a-table 9"), BinaryIoError);
+
+  // The untampered payload and a hand-built well-formed one still decode
+  // (the guards reject corruption, not legitimate tables).
+  EXPECT_NO_THROW(decoded(good));
+  EXPECT_NO_THROW(decoded(payload_of(2, 2, 2, 40, 15, 0.8, 0.9, 8)));
 }
 
 }  // namespace

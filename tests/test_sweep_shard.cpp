@@ -1,26 +1,22 @@
-// Distributed-sweep tests: the shard planner's partition algebra, the
-// pipe frame discipline, shard execution / trace merge byte-identity
-// against the unsharded run, and the worker-farm failure taxonomy (a dead
-// or babbling worker must fail the sweep loudly, never leave a silent
-// hole).  The end-to-end `sweep --workers N` byte-identity matrix drives
-// the real CLI binary when CMake baked its path in (SEO_SWEEP_TOOL).
+// Multi-host sweep tests: the shard planner's partition algebra and shard
+// execution / trace merge byte-identity against the unsharded run.  The
+// end-to-end `sweep` CLI checks (report and trace bytes across --threads,
+// the --stats line, rejected flags) drive the real binary when CMake baked
+// its path in (SEO_SWEEP_TOOL).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/binary_io.hpp"
+#include <sys/wait.h>
+
 #include "sim/sweep.hpp"
 #include "sim/sweep_report.hpp"
-#include "sim/sweep_shard.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
 #include "util/thread_pool.hpp"
@@ -45,9 +41,7 @@ SweepConfig tiny_sweep() {
   return config;
 }
 
-// The tiny_sweep() config expressed as sweep CLI flags — the two must
-// resolve to the identical plan (the hello handshake's run_digest check
-// fails the farm tests if they ever drift).
+// The tiny_sweep() config expressed as sweep CLI flags.
 std::vector<std::string> tiny_sweep_args() {
   return {"--scenarios", "paper_default",
           "--axis",      "channel_mbps=8,12,16,20",
@@ -111,64 +105,6 @@ TEST(SweepPlan, PlanIsAPureFunctionOfTheConfig) {
   SweepConfig other = tiny_sweep();
   other.axes[0].values = {"8", "12", "16"};
   EXPECT_NE(plan_sweep(other).run_digest, a.run_digest);
-}
-
-// --- Pipe frame discipline --------------------------------------------------
-
-TEST(FrameAssembler, ReassemblesFramesFedByteByByte) {
-  std::string wire;
-  append_frame(wire, 1, "hello");
-  append_frame(wire, 2, std::string("\0\x7f payload", 10));
-  append_frame(wire, 3, "");
-  FrameAssembler frames;
-  std::vector<std::pair<std::uint8_t, std::string>> out;
-  std::uint8_t type = 0;
-  std::string payload;
-  for (const char byte : wire) {
-    frames.feed(&byte, 1);  // worst-case read(2): one byte at a time
-    while (frames.next(type, payload)) out.emplace_back(type, payload);
-  }
-  EXPECT_TRUE(frames.idle());
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].first, 1);
-  EXPECT_EQ(out[0].second, "hello");
-  EXPECT_EQ(out[1].second, std::string("\0\x7f payload", 10));
-  EXPECT_EQ(out[2].first, 3);
-  EXPECT_TRUE(out[2].second.empty());
-}
-
-TEST(FrameAssembler, PartialFrameIsNotIdle) {
-  std::string wire;
-  append_frame(wire, 1, "abc");
-  FrameAssembler frames;
-  frames.feed(wire.data(), wire.size() - 1);  // checksum byte in flight
-  std::uint8_t type = 0;
-  std::string payload;
-  EXPECT_FALSE(frames.next(type, payload));
-  EXPECT_FALSE(frames.idle());  // how EOF here is diagnosed as truncation
-  EXPECT_EQ(frames.buffered(), wire.size() - 1);
-}
-
-TEST(FrameAssembler, RejectsCorruptFrames) {
-  std::string wire;
-  append_frame(wire, 1, "abc");
-  wire.back() ^= 0x01;  // tamper with the checksum
-  FrameAssembler frames;
-  frames.feed(wire.data(), wire.size());
-  std::uint8_t type = 0;
-  std::string payload;
-  EXPECT_THROW(frames.next(type, payload), BinaryIoError);
-}
-
-TEST(FrameAssembler, RejectsRunawayLengthFields) {
-  // Garbage on the pipe (a worker printing text, say) decodes as an
-  // absurd length field — that must throw, not allocate gigabytes.
-  const std::string garbage = "--shard 0/2 --shard-pipe\n";
-  FrameAssembler frames;
-  frames.feed(garbage.data(), garbage.size());
-  std::uint8_t type = 0;
-  std::string payload;
-  EXPECT_THROW(frames.next(type, payload), BinaryIoError);
 }
 
 // --- Shard execution and trace merge ----------------------------------------
@@ -254,52 +190,13 @@ TEST(SweepShard, MergeRejectsShardsOfDifferentRuns) {
   EXPECT_THROW(merge_trace_streams({&a, &b}, merged), ContractViolation);
 }
 
-// --- Worker-farm failure taxonomy -------------------------------------------
-
-TEST(SweepWorkers, WorkerDyingBeforeItsDoneFrameFailsTheSweep) {
-  // /bin/true exits 0 without ever writing a frame: EOF before the done
-  // frame is the crash signature and must fail the whole sweep.
-  const SweepPlan plan = plan_sweep(tiny_sweep());
-  EXPECT_THROW(run_sweep_workers(plan, "/bin/true", {}, 2, nullptr),
-               std::runtime_error);
-}
-
-TEST(SweepWorkers, WorkerWritingGarbageFailsTheSweep) {
-  // /bin/echo prints its argv to the pipe — valid text, corrupt frames.
-  const SweepPlan plan = plan_sweep(tiny_sweep());
-  EXPECT_THROW(run_sweep_workers(plan, "/bin/echo", {}, 2, nullptr),
-               std::runtime_error);
-}
-
 #ifdef SEO_SWEEP_TOOL
 
-TEST(SweepWorkers, FarmMatchesInProcessRunBitForBit) {
-  const SweepConfig config = tiny_sweep();
-  const SweepPlan plan = plan_sweep(config);
-  const std::vector<SweepRow> rows = run_sweep(config);
-  const std::string whole = traced_run(config, 0, 1);
+// --- The sweep CLI ----------------------------------------------------------
 
-  std::vector<std::string> worker_args = tiny_sweep_args();
-  worker_args.insert(worker_args.end(), {"--threads", "1"});
-  std::ostringstream stream;
-  OrderedTraceSink sink(stream);
-  const SweepWorkersResult farm =
-      run_sweep_workers(plan, SEO_SWEEP_TOOL, worker_args, 2, &sink);
-  sink.finish();
-
-  EXPECT_EQ(farm.metrics, sweep_metric_rows(rows));
-  EXPECT_EQ(stream.str(), whole);
-  // The farm's summed stats must cover the workers' table builds: two
-  // single-threaded workers, at least one build or disk load each.
-  std::uint64_t activity = 0;
-  for (const ArtifactKindStats& row : farm.stats)
-    activity += row.stats.builds + row.stats.disk_loads + row.stats.hits;
-  EXPECT_GT(activity, 0u);
-}
-
-// The acceptance matrix: report and trace bytes out of `sweep` must be
-// identical at every --workers x --threads combination.
-TEST(SweepWorkers, CliByteIdentityAcrossWorkerAndThreadCounts) {
+// Report and trace bytes out of `sweep` must be identical at every
+// --threads value.
+TEST(SweepCli, ByteIdentityAcrossThreadCounts) {
   const std::string dir = ::testing::TempDir();
   const auto slurp = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -314,26 +211,22 @@ TEST(SweepWorkers, CliByteIdentityAcrossWorkerAndThreadCounts) {
 
   std::string reference_csv;
   std::string reference_trace;
-  for (const int workers : {1, 2, 4}) {
-    for (const int threads : {1, 2, 0}) {
-      const std::string tag = "w" + std::to_string(workers) + "t" +
-                              std::to_string(threads);
-      const std::string csv = dir + "/sweep_" + tag + ".csv";
-      const std::string trace = dir + "/sweep_" + tag + ".trace";
-      const std::string cmd =
-          base_args + " --threads " + std::to_string(threads) +
-          " --workers " + std::to_string(workers) + " --output " + csv +
-          " --trace-out " + trace + " 2>/dev/null";
-      ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-      if (reference_csv.empty()) {
-        reference_csv = slurp(csv);
-        reference_trace = slurp(trace);
-        ASSERT_FALSE(reference_csv.empty());
-        ASSERT_FALSE(reference_trace.empty());
-      } else {
-        EXPECT_EQ(slurp(csv), reference_csv) << tag;
-        EXPECT_EQ(slurp(trace), reference_trace) << tag;
-      }
+  for (const int threads : {1, 2, 0}) {
+    const std::string tag = "t" + std::to_string(threads);
+    const std::string csv = dir + "/sweep_" + tag + ".csv";
+    const std::string trace = dir + "/sweep_" + tag + ".trace";
+    const std::string cmd = base_args + " --threads " +
+                            std::to_string(threads) + " --output " + csv +
+                            " --trace-out " + trace + " 2>/dev/null";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    if (reference_csv.empty()) {
+      reference_csv = slurp(csv);
+      reference_trace = slurp(trace);
+      ASSERT_FALSE(reference_csv.empty());
+      ASSERT_FALSE(reference_trace.empty());
+    } else {
+      EXPECT_EQ(slurp(csv), reference_csv) << tag;
+      EXPECT_EQ(slurp(trace), reference_trace) << tag;
     }
   }
 }
@@ -341,7 +234,7 @@ TEST(SweepWorkers, CliByteIdentityAcrossWorkerAndThreadCounts) {
 // --stats describes the run's own thread cap: a serial run neither uses
 // nor creates the pool, and a capped run counts its busy share against the
 // cap, not the host's core count.
-TEST(SweepWorkers, CliStatsLineReportsTheEffectiveThreadCap) {
+TEST(SweepCli, StatsLineReportsTheEffectiveThreadCap) {
   const std::string dir = ::testing::TempDir();
   std::string base_args = std::string(SEO_SWEEP_TOOL);
   for (const std::string& arg : tiny_sweep_args()) base_args += " " + arg;
@@ -366,6 +259,27 @@ TEST(SweepWorkers, CliStatsLineReportsTheEffectiveThreadCap) {
   EXPECT_EQ(pool_line(2).rfind("thread pool: 2 workers, " + tasks + " tasks, ",
                                0),
             0u);
+}
+
+// `sweep` has no worker-process mode: these flags are unknown arguments,
+// rejected with exit 2 rather than silently ignored.
+TEST(SweepCli, RemovedWorkerFlagsAreRejected) {
+  const std::string dir = ::testing::TempDir();
+  const std::string log = dir + "/removed_flag.log";
+  for (const std::string flags :
+       {"--workers 2", "--shard-pipe", "--shard-trace"}) {
+    const std::string cmd = std::string(SEO_SWEEP_TOOL) + " --smoke " +
+                            flags + " --output /dev/null 2>" + log;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    std::ifstream in(log);
+    std::stringstream err;
+    err << in.rdbuf();
+    const std::string flag = flags.substr(0, flags.find(' '));
+    EXPECT_NE(err.str().find("unknown argument: " + flag), std::string::npos)
+        << cmd << "\n" << err.str();
+  }
 }
 
 #endif  // SEO_SWEEP_TOOL

@@ -52,9 +52,10 @@ DeadlineTableCache::Builder builder_for(const DeadlineTableKey& key,
 }
 
 std::string serialized(const DeadlineTable& table) {
-  std::ostringstream out;
-  table.save(out);
-  return out.str();
+  std::string out;
+  BinaryWriter writer(out);
+  table.encode(writer);
+  return out;
 }
 
 /// RAII temp directory for artifact-store tests.
@@ -259,7 +260,7 @@ TEST(DeadlineTableCache, CorruptArtifactFallsBackToRebuildAndHeals) {
 
 TEST(DeadlineTableCache, RenamedArtifactForAnotherKeyIsRejected) {
   // The serialized table cannot expose an interval/barrier/road mismatch
-  // (save() only records the grid, domain, and body radius), so the
+  // (the payload only records the grid, domain, and body radius), so the
   // artifact header's full key digest is what protects against a file
   // copied under another key's address: same table shape, different
   // barrier margin — trusting it would poison every safety deadline.
@@ -311,20 +312,6 @@ TEST(DeadlineTableCache, ArtifactWithNonFiniteCellsIsRejected) {
   ASSERT_NE(rebuilt, nullptr);
   EXPECT_EQ(cache.stats().disk_failures, 1u);
   EXPECT_EQ(cache.stats().builds, 1u);
-}
-
-TEST(DeadlineTableCache, BinaryPayloadIsAtLeastTwiceSmallerThanText) {
-  // The v2 motivation, locked as a floor: the binary table payload (8
-  // bytes per cell + fixed header) must stay at least 2x smaller than the
-  // v1 text serialization it replaced.
-  const DeadlineTableKey key = small_key();
-  const auto table = builder_for(key)();
-  const std::string text = serialized(*table);
-  std::string binary;
-  BinaryWriter writer(binary);
-  table->encode(writer);
-  EXPECT_GE(text.size(), 2 * binary.size())
-      << "text " << text.size() << " bytes vs binary " << binary.size();
 }
 
 // --- Nested-parallelism guard ----------------------------------------------

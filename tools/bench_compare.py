@@ -28,10 +28,9 @@ Scaling gate: besides absolute regressions, the gate asserts that episode
 throughput actually scales — the threads:8 variants of the threaded
 benchmarks must run in at most a fixed fraction of their threads:1 real
 time (default: 0.6x for BM_ExperimentBatch, 0.75x for
-BM_DeadlineTableBuild), the sweep CLI's threads:4 arm must run in at most
-0.4x of threads:1 (BM_SweepThreads), and the distributed sweep's workers:4
-arm in at most 0.6x of workers:1 (BM_SweepWorkers; both carry a /real_time
-name suffix from UseRealTime).  The ratio is taken WITHIN the fresh file,
+BM_DeadlineTableBuild), and the sweep CLI's threads:4 arm must run in at most
+0.4x of threads:1 (BM_SweepThreads; it carries a /real_time name suffix
+from UseRealTime).  The ratio is taken WITHIN the fresh file,
 so it is machine-independent; it is only meaningful on a multicore host, so the
 assertion is skipped (with a note) when the fresh run's machine has fewer
 than --min-scaling-cpus CPUs (default 4).  Disable explicitly with
@@ -45,7 +44,6 @@ import sys
 # machine-shaped, so the gate pins the serial ones).
 DEFAULT_NAMES = [
     "BM_ArtifactPayloadParseBinary",
-    "BM_ArtifactPayloadParseText",
     "BM_BarrierValue",
     "BM_BicycleStepRk4",
     "BM_CemWeightsCache",
@@ -70,8 +68,6 @@ DEFAULT_SCALING = [
     ("BM_ExperimentBatch/threads:8", "BM_ExperimentBatch/threads:1", 0.60),
     ("BM_DeadlineTableBuild/threads:8", "BM_DeadlineTableBuild/threads:1",
      0.75),
-    ("BM_SweepWorkers/workers:4/real_time",
-     "BM_SweepWorkers/workers:1/real_time", 0.60),
     ("BM_SweepThreads/threads:4/real_time",
      "BM_SweepThreads/threads:1/real_time", 0.40),
 ]

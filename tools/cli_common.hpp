@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -187,52 +186,25 @@ inline void run_requested_gc(const CacheCliOptions& state) {
             << " bytes\n";
 }
 
-/// The one greppable per-kind stats line format (CI assertions sed these
-/// exact words) — single body, so the in-process and aggregated-farm
-/// reports below cannot drift apart.
-inline void print_artifact_store_stats_row(std::ostream& out,
-                                           const std::string& kind,
-                                           const ArtifactStoreStats& s) {
-  out << "artifact store [" << kind << "]: " << s.hits << " hits, "
-      << s.misses << " misses, " << s.builds << " builds, " << s.waits
-      << " waits, " << s.lock_waits << " lock waits, " << s.evictions
-      << " evictions, " << s.bytes << " bytes, " << s.disk_loads
-      << " disk loads, " << s.disk_stores << " disk stores, "
-      << s.disk_failures << " disk failures\n";
-}
-
-/// One greppable stats line per artifact kind for the process-wide stores,
-/// with `extra` rows (e.g. worker-process stats summed by the --workers
-/// parent) merged in by kind.  Every kind reports — also the ones this run
-/// never touched — so CI and operators always see the full picture.
-inline void print_artifact_store_stats(
-    std::ostream& out, const std::vector<ArtifactKindStats>& extra = {}) {
+/// One greppable stats line per artifact kind for the process-wide stores
+/// (CI assertions sed these exact words).  Every kind reports — also the
+/// ones this run never touched — so CI and operators always see the full
+/// picture.
+inline void print_artifact_store_stats(std::ostream& out) {
   // Touching the global accessors guarantees each kind is registered (in
   // this order on a fresh process) before the snapshot.
   (void)DeadlineTableCache::global();
   (void)RolloutTableStore::global();
   (void)nn::cem_weights_store();
-  std::map<std::string, ArtifactStoreStats> merged;
-  for (const auto& row : ArtifactStoreRegistry::global().snapshot())
-    merged[row.kind] = row.stats;
-  for (const auto& row : extra) {
-    ArtifactStoreStats& s = merged[row.kind];
-    const ArtifactStoreStats& a = row.stats;
-    s.hits += a.hits;
-    s.fast_hits += a.fast_hits;
-    s.misses += a.misses;
-    s.builds += a.builds;
-    s.waits += a.waits;
-    s.lock_waits += a.lock_waits;
-    s.evictions += a.evictions;
-    s.bytes += a.bytes;
-    s.disk_loads += a.disk_loads;
-    s.disk_stores += a.disk_stores;
-    s.disk_failures += a.disk_failures;
+  for (const auto& row : ArtifactStoreRegistry::global().snapshot()) {
+    const ArtifactStoreStats& s = row.stats;
+    out << "artifact store [" << row.kind << "]: " << s.hits << " hits, "
+        << s.misses << " misses, " << s.builds << " builds, " << s.waits
+        << " waits, " << s.lock_waits << " lock waits, " << s.evictions
+        << " evictions, " << s.bytes << " bytes, " << s.disk_loads
+        << " disk loads, " << s.disk_stores << " disk stores, "
+        << s.disk_failures << " disk failures\n";
   }
-  // std::map: sorted by kind, matching the registry snapshot's order.
-  for (const auto& [kind, stats] : merged)
-    print_artifact_store_stats_row(out, kind, stats);
 }
 
 /// One greppable utilization line for the global thread pool, matching the

@@ -17,14 +17,11 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "cli_common.hpp"
 #include "safety/table_cache.hpp"
 #include "sim/scenario_io.hpp"
 #include "sim/sweep.hpp"
 #include "sim/sweep_report.hpp"
-#include "sim/sweep_shard.hpp"
 #include "sim/trace.hpp"
 #include "util/expect.hpp"
 
@@ -52,12 +49,6 @@ int usage(int code) {
          "  --allow-failures       aggregate failed episodes too\n"
          "  --threads N            grid shards in flight (1 serial, 0 all "
          "cores; default 0)\n"
-         "  --workers N            split the grid across N worker "
-         "processes (default 1\n"
-         "                         in-process, 0 = all cores; each worker "
-         "honors --threads).\n"
-         "                         Report and --trace-out bytes are "
-         "identical to --workers 1\n"
          "  --shard i/N            run only shard i of N (multi-host "
          "mode: one shard per\n"
          "                         box with --trace-out, recombined "
@@ -103,11 +94,8 @@ int main(int argc, char** argv) {
   }
   bool user_axes = false;  // the first user --axis replaces preset axes
   bool show_pool_stats = false;
-  int workers = 1;
   std::size_t shard_index = 0;
   std::size_t shard_count = 0;  // > 0 once --shard i/N was parsed
-  bool shard_pipe = false;      // hidden: binary frames on stdout
-  bool shard_trace = false;     // hidden: embed trace blocks in the frames
 
   const auto next_arg = [&](int& i) -> std::string {
     if (i + 1 >= argc) {
@@ -182,13 +170,6 @@ int main(int argc, char** argv) {
       config.require_success = false;
     } else if (arg == "--threads") {
       config.threads = static_cast<int>(next_int(i));
-    } else if (arg == "--workers") {
-      const long long n = next_int(i);
-      if (n < 0) {
-        std::cerr << "--workers must be >= 0\n";
-        return usage(2);
-      }
-      workers = static_cast<int>(n);
     } else if (arg == "--shard") {
       const std::string spec = next_arg(i);
       const auto slash = spec.find('/');
@@ -213,10 +194,6 @@ int main(int argc, char** argv) {
         std::cerr << "--shard expects i/N with 0 <= i < N\n";
         return usage(2);
       }
-    } else if (arg == "--shard-pipe") {
-      shard_pipe = true;
-    } else if (arg == "--shard-trace") {
-      shard_trace = true;
     } else if (arg == "--stats") {
       show_pool_stats = true;
     } else if (seo::cli::parse_cache_flag(argc, argv, i,
@@ -234,23 +211,6 @@ int main(int argc, char** argv) {
       std::cerr << "unknown argument: " << arg << "\n";
       return usage(2);
     }
-  }
-
-  // Flag interplay for the multi-process modes.
-  const std::size_t worker_count = ThreadPool::resolve_threads(workers);
-  if (worker_count > 1 && shard_count > 0) {
-    std::cerr << "--workers spawns its own shards; it cannot be combined "
-                 "with --shard\n";
-    return usage(2);
-  }
-  if (shard_pipe && shard_count == 0) {
-    std::cerr << "--shard-pipe requires --shard i/N\n";
-    return usage(2);
-  }
-  if (shard_pipe && (!output.empty() || !trace_out.empty())) {
-    std::cerr << "--shard-pipe streams binary frames on stdout; --output "
-                 "and --trace-out do not apply\n";
-    return usage(2);
   }
 
   // The binary trace stream shares stdout with the report only if exactly
@@ -279,46 +239,12 @@ int main(int argc, char** argv) {
   try {
     seo::cli::run_requested_gc(cache);
 
-    // Hidden pipe-worker mode (a `--workers` child): every frame goes out
-    // on stdout, diagnostics on stderr, nothing else is printed.
-    if (shard_pipe)
-      return run_sweep_worker(config, shard_index, shard_count, shard_trace,
-                              STDOUT_FILENO);
-
     const auto run_start = std::chrono::steady_clock::now();
-    std::size_t points_run = 0;
+    const std::vector<SweepRow> rows =
+        shard_count > 0 ? run_sweep_shard(config, shard_index, shard_count)
+                        : run_sweep(config);
     std::ostringstream report;
-    std::vector<ArtifactKindStats> worker_stats;
-    if (worker_count > 1) {
-      // Parent mode: plan locally, farm the grid out to self-exec shard
-      // processes, merge their metric rows and trace blocks.  Workers
-      // inherit every flag except --workers/--output/--trace-out/--stats,
-      // so they plan the identical sweep (the hello handshake verifies).
-      std::vector<std::string> worker_args;
-      for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--workers" || arg == "--output" || arg == "--trace-out") {
-          ++i;
-          continue;
-        }
-        if (arg == "--stats") continue;
-        worker_args.push_back(arg);
-      }
-      const SweepPlan plan = plan_sweep(config);
-      const SweepWorkersResult merged =
-          run_sweep_workers(plan, sweep_self_exe(argv[0]), worker_args,
-                            worker_count, config.trace_sink);
-      worker_stats = merged.stats;
-      points_run = plan.points.size();
-      seo::write_sweep_report(report, format, config, plan.points,
-                              merged.metrics);
-    } else {
-      const std::vector<SweepRow> rows =
-          shard_count > 0 ? run_sweep_shard(config, shard_index, shard_count)
-                          : run_sweep(config);
-      points_run = rows.size();
-      seo::write_sweep_report(report, format, config, rows);
-    }
+    seo::write_sweep_report(report, format, config, rows);
     if (trace_sink) {
       trace_sink->finish();
       std::cerr << "streamed " << trace_sink->episodes_written()
@@ -330,9 +256,8 @@ int main(int argc, char** argv) {
                                       run_start)
             .count();
     // Stats to stderr, never the report stream: CI asserts warm runs
-    // actually hit, and operators see what a cold run cost.  In parent
-    // mode the printed rows are the farm-wide sums from the done frames.
-    seo::cli::print_artifact_store_stats(std::cerr, worker_stats);
+    // actually hit, and operators see what a cold run cost.
+    seo::cli::print_artifact_store_stats(std::cerr);
     if (show_pool_stats)
       seo::cli::print_thread_pool_stats(
           std::cerr, ThreadPool::resolve_threads(config.threads), run_s);
@@ -345,7 +270,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       out << report.str();
-      std::cerr << "wrote " << points_run << " grid points to " << output
+      std::cerr << "wrote " << rows.size() << " grid points to " << output
                 << "\n";
     }
   } catch (const seo::ContractViolation& e) {
