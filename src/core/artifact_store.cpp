@@ -53,16 +53,6 @@ std::vector<ArtifactKindStats> ArtifactStoreRegistry::snapshot() const {
   return out;
 }
 
-void ArtifactStoreRegistry::set_memory_budget_all(
-    const ArtifactMemoryBudget& budget) const {
-  std::vector<Handle> handles;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    handles = handles_;
-  }
-  for (const auto& handle : handles) handle.set_budget(budget);
-}
-
 void ArtifactStoreRegistry::clear_all() const {
   std::vector<Handle> handles;
   {
@@ -79,16 +69,10 @@ namespace {
 // --- On-disk names ---------------------------------------------------------
 
 constexpr const char* kManifestBinName = "manifest.bin";
-/// Legacy v1 text manifest — still read as a migration source, replaced by
-/// the binary manifest on the first flush.
-constexpr const char* kManifestTextName = "manifest.txt";
 /// The directory-wide advisory lock every manifest flush and GC sweep
 /// serializes on (never unlinked — unlinking an advisory lock file is the
 /// classic two-holders race).
 constexpr const char* kManifestLockName = "manifest.lock";
-
-constexpr const char* kManifestTextMagic = "seo-artifact-manifest";
-constexpr int kManifestTextVersion = 1;
 
 /// Binary manifest v2: magic, version, entry count, (name, seq, bytes,
 /// last_used) per entry, FNV-1a checksum tail.  Concurrent writers are
@@ -156,57 +140,57 @@ class DirLock {
 /// an empty one (the GC then falls back to "everything is oldest", which
 /// only costs warmth, never correctness).
 Manifest read_manifest_disk(const fs::path& dir) {
+  std::ifstream in(dir / kManifestBinName, std::ios::binary);
+  if (!in) return Manifest{};
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string blob = buffer.str();
   Manifest manifest;
-  // Binary v2 first.
-  {
-    std::ifstream in(dir / kManifestBinName, std::ios::binary);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      const std::string blob = buffer.str();
-      try {
-        BinaryReader r{std::string_view(blob)};
-        const std::size_t start = r.offset();
-        char magic[sizeof kManifestMagic];
-        r.bytes(magic, sizeof magic);
-        if (std::memcmp(magic, kManifestMagic, sizeof magic) != 0 ||
-            r.u16() != kManifestVersion)
-          return manifest;
-        const std::uint32_t count = r.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::string name = r.str();
-          ManifestEntry entry;
-          entry.seq = r.u64();
-          entry.bytes = r.u64();
-          entry.last_used = r.i64();
-          manifest[name] = entry;
-        }
-        r.verify_checksum_from(start, "manifest");
-        r.require_exhausted("manifest");
-        return manifest;
-      } catch (const std::exception&) {
-        return Manifest{};  // corrupt manifest: start cold, lose only warmth
-      }
+  try {
+    BinaryReader r{std::string_view(blob)};
+    const std::size_t start = r.offset();
+    char magic[sizeof kManifestMagic];
+    r.bytes(magic, sizeof magic);
+    if (std::memcmp(magic, kManifestMagic, sizeof magic) != 0 ||
+        r.u16() != kManifestVersion)
+      return Manifest{};
+    const std::uint32_t count = r.u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::string name = r.str();
+      ManifestEntry entry;
+      entry.seq = r.u64();
+      entry.bytes = r.u64();
+      entry.last_used = r.i64();
+      manifest[name] = entry;
     }
-  }
-  // Legacy v1 text fallback (pre-binary dirs migrate on first flush).
-  std::ifstream in(dir / kManifestTextName);
-  if (!in) return manifest;
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (magic != kManifestTextMagic || version != kManifestTextVersion)
+    r.verify_checksum_from(start, "manifest");
+    r.require_exhausted("manifest");
     return manifest;
-  ManifestEntry entry;
-  std::string file;
-  while (in >> entry.seq >> entry.bytes >> entry.last_used >> file)
-    manifest[file] = entry;
-  return manifest;
+  } catch (const std::exception&) {
+    return Manifest{};  // corrupt manifest: start cold, lose only warmth
+  }
 }
 
-/// Temp-write + rename so concurrent readers (other processes) only ever
-/// observe a complete manifest; the legacy text manifest is retired once
-/// the binary one exists.
+/// Writes `blob` to `tmp`, then renames it over `path`, so concurrent
+/// readers (other processes) only ever observe a complete file.  On failure
+/// the temp file is removed and the error rethrown.
+void write_via_rename(const fs::path& tmp, const fs::path& path,
+                      const std::string& blob) {
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary);
+      if (!out) throw ContractViolation("cannot open " + tmp.string());
+      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+      if (!out) throw ContractViolation("short write to " + tmp.string());
+    }
+    fs::rename(tmp, path);
+  } catch (...) {
+    std::error_code ec;
+    fs::remove(tmp, ec);
+    throw;
+  }
+}
+
 void write_manifest_disk(const fs::path& dir, const Manifest& manifest) {
   const fs::path path = dir / kManifestBinName;
   const fs::path tmp =
@@ -225,15 +209,7 @@ void write_manifest_disk(const fs::path& dir, const Manifest& manifest) {
     w.i64(entry.last_used);
   }
   w.checksum_from(start);
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out) throw ContractViolation("cannot open " + tmp.string());
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out) throw ContractViolation("short write to " + tmp.string());
-  }
-  fs::rename(tmp, path);
-  std::error_code ec;
-  fs::remove(dir / kManifestTextName, ec);
+  write_via_rename(tmp, path, blob);
 }
 
 std::uint64_t max_seq(const Manifest& manifest) {
@@ -376,6 +352,19 @@ class ManifestCache {
   std::uint64_t max_seq_ = 0;
 };
 
+/// Records one artifact use in the directory manifest, best effort: a
+/// failed flush costs the GC some LRU precision, never the artifact, so it
+/// is a warning, not an error.
+void record_manifest_use(const fs::path& dir, const std::string& file,
+                         std::uint64_t bytes) {
+  try {
+    ManifestCache::for_dir(dir).record_use(file, bytes);
+  } catch (const std::exception& e) {
+    log_warn() << "artifact store: manifest update failed for " << file
+               << " (" << e.what() << ")";
+  }
+}
+
 }  // namespace
 
 // --- DigestLock ------------------------------------------------------------
@@ -485,9 +474,8 @@ void write_artifact(const ArtifactDiskOptions& disk, const std::string& kind,
   const std::string name =
       artifact_file_name(kind, version, fingerprint_hex(digest));
   const fs::path path = dir / name;
-  // Temp-write + rename so concurrent processes only ever observe complete
-  // artifacts; the pid suffix keeps same-key writers from sharing a temp
-  // file (their contents are identical, so last rename winning is fine).
+  // The pid suffix keeps same-key writers from sharing a temp file (their
+  // contents are identical, so last rename winning is fine).
   const fs::path tmp =
       dir /
       (name + ".tmp." + std::to_string(static_cast<long long>(::getpid())));
@@ -504,38 +492,27 @@ void write_artifact(const ArtifactDiskOptions& disk, const std::string& kind,
   const std::size_t payload_start = w.mark();
   w.bytes(payload.data(), payload.size());
   w.checksum_from(payload_start);
-  try {
-    fs::create_directories(dir);
-    {
-      std::ofstream out(tmp, std::ios::binary);
-      if (!out) throw ContractViolation("cannot open " + tmp.string());
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-      if (!out) throw ContractViolation("short write to " + tmp.string());
-    }
-    fs::rename(tmp, path);
-    ManifestCache::for_dir(dir).record_use(name, blob.size());
-  } catch (...) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    throw;
-  }
+  fs::create_directories(dir);
+  write_via_rename(tmp, path, blob);
+  // The artifact is stored; the manifest entry and the sweep below are
+  // upkeep of the directory, so their failures warn instead of throwing.
+  record_manifest_use(dir, name, blob.size());
   // With caps configured, every store is followed by a sweep so the dir
   // can never drift past its bound between explicit GC runs.
-  if (disk.max_bytes > 0 || disk.max_age_s > 0.0)
-    artifact_store_gc(disk.dir, disk.max_bytes, disk.max_age_s);
+  if (disk.max_bytes > 0 || disk.max_age_s > 0.0) {
+    try {
+      artifact_store_gc(disk.dir, disk.max_bytes, disk.max_age_s);
+    } catch (const std::exception& e) {
+      log_warn() << "artifact store: GC sweep after storing " << name
+                 << " failed (" << e.what() << ")";
+    }
+  }
 }
 
 void touch_manifest(const std::string& dir, const std::string& file) {
-  try {
-    std::uint64_t bytes = 0;
-    std::error_code ec;
-    const auto size = fs::file_size(fs::path(dir) / file, ec);
-    if (!ec) bytes = static_cast<std::uint64_t>(size);
-    ManifestCache::for_dir(fs::path(dir)).record_use(file, bytes);
-  } catch (const std::exception& e) {
-    log_warn() << "artifact store: manifest touch failed for " << file << " ("
-               << e.what() << ")";
-  }
+  std::error_code ec;
+  const auto size = fs::file_size(fs::path(dir) / file, ec);
+  record_manifest_use(dir, file, ec ? 0 : static_cast<std::uint64_t>(size));
 }
 
 void flush_manifests() { ManifestCache::flush_all(); }
@@ -573,9 +550,7 @@ ArtifactGcResult ManifestCache::gc(std::uint64_t max_bytes, double max_age_s) {
   for (const auto& dirent : fs::directory_iterator(dir_, ec)) {
     if (!dirent.is_regular_file()) continue;
     const std::string name = dirent.path().filename().string();
-    if (name == kManifestBinName || name == kManifestTextName ||
-        name == kManifestLockName)
-      continue;
+    if (name == kManifestBinName || name == kManifestLockName) continue;
     if (is_tmp_file(name)) {
       // A temp file is either a live writer mid-store or debris from a
       // crash; only the stale kind is removed.

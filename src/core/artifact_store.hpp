@@ -15,11 +15,6 @@
 //    tests and golden digests pin the hashers against accidental change.
 //  * Single-flight.  Concurrent callers requesting one key block on one
 //    build; every waiter receives the same immutable value.
-//  * Bounded in memory.  An optional entry-count / byte budget evicts
-//    least-recently-used *ready* entries; entries whose build is still in
-//    flight are never evicted, and eviction can never invalidate a value a
-//    caller already holds (values are shared_ptr-owned).  Long-lived
-//    services can therefore leave the store on without unbounded growth.
 //  * Disk-layered with GC (optional).  With a cache directory, artifacts
 //    persist as fixed-width little-endian FNV-1a-checksummed binary
 //    containers under versioned digest-addressed file names (temp-write +
@@ -54,7 +49,6 @@
 //     static void encode(const Value&, BinaryWriter&);
 //     static Value decode(BinaryReader&);            // throws on bad data
 //     static void validate(const Key&, const Value&);// defense in depth
-//     static std::size_t weight_bytes(const Value&); // byte-budget weight
 //   };
 //
 // The encode/decode pair speaks core/binary_io — the same canonical byte
@@ -62,11 +56,9 @@
 // it wrote (the store rejects trailing bytes as corruption).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -83,32 +75,17 @@ namespace seo {
 
 /// Monotonic counters describing one store's behaviour.  `hits + misses`
 /// equals the number of get() calls; `waits` counts the subset of hits
-/// that blocked on another caller's in-flight build (single-flight dedup);
-/// `bytes` is the current resident payload weight, not a counter.
+/// that blocked on another caller's in-flight build (single-flight dedup).
 struct ArtifactStoreStats {
-  std::uint64_t hits = 0;  ///< includes `fast_hits`
-  std::uint64_t fast_hits = 0;  ///< hits served by the lock-free snapshot
+  std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t builds = 0;         ///< builder invocations actually run
   std::uint64_t waits = 0;
   std::uint64_t lock_waits = 0;     ///< cold misses that blocked on another
                                     ///< process's per-digest artifact lock
-  std::uint64_t evictions = 0;      ///< in-memory LRU evictions
-  std::uint64_t bytes = 0;          ///< resident payload bytes (approx)
   std::uint64_t disk_loads = 0;     ///< misses served from the artifact dir
   std::uint64_t disk_stores = 0;
   std::uint64_t disk_failures = 0;  ///< corrupt/mismatched artifacts rebuilt
-};
-
-/// In-memory bounding for long-lived services.  0 means "unlimited" for
-/// either knob.  The most-recently-used entry (and the one a get() just
-/// completed) is always retained even when it alone exceeds the budget —
-/// evicting it would make every get miss while still not freeing the
-/// caller's reference — so the bound is exact whenever at least two ready
-/// entries are resident.
-struct ArtifactMemoryBudget {
-  std::size_t max_entries = 0;
-  std::size_t max_bytes = 0;
 };
 
 /// Disk-tier knobs for one get() call.  An empty dir disables the tier.
@@ -144,15 +121,14 @@ struct ArtifactKindStats {
 };
 
 /// Process-wide directory of live stores, so CLIs can print one stats line
-/// per artifact kind and services can bound every kind at once.  Stores
-/// self-register on first use of their global() accessor.
+/// per artifact kind.  Stores self-register on first use of their global()
+/// accessor.
 class ArtifactStoreRegistry {
  public:
   struct Handle {
     std::string kind;
     std::function<ArtifactStoreStats()> stats;
     std::function<void()> clear;
-    std::function<void(ArtifactMemoryBudget)> set_budget;
   };
 
   static ArtifactStoreRegistry& global();
@@ -161,7 +137,6 @@ class ArtifactStoreRegistry {
   /// Stats for every registered kind, sorted by kind name — registration
   /// order varies with which thread touches an accessor first.
   std::vector<ArtifactKindStats> snapshot() const;
-  void set_memory_budget_all(const ArtifactMemoryBudget& budget) const;
   void clear_all() const;
 
  private:
@@ -185,9 +160,10 @@ bool read_artifact_payload(const std::string& path, const std::string& kind,
                            int version, std::uint64_t digest,
                            std::string& payload_out);
 
-/// Wraps `payload` in the v2 binary container, writes it via temp-write +
-/// atomic rename and records the file in the directory manifest.  Throws
-/// on I/O failure.
+/// Wraps `payload` in the v2 binary container and writes it via temp-write
+/// + atomic rename.  Throws on I/O failure of the artifact; the manifest
+/// entry it then records and the GC sweep a cap triggers are best effort
+/// (their failures only warn).
 void write_artifact(const ArtifactDiskOptions& disk, const std::string& kind,
                     int version, std::uint64_t digest,
                     const std::string& payload);
@@ -234,9 +210,11 @@ class DigestLock {
 
 }  // namespace artifact_detail
 
-/// Thread-safe, single-flight, LRU-bounded content-addressed store for one
-/// artifact kind.  One process-wide instance per kind (global()); fresh
-/// instances are cheap and used by tests and benchmarks.
+/// Thread-safe, single-flight content-addressed store for one artifact kind:
+/// a mutex-guarded digest -> entry map.  Entries live until clear(); the
+/// disk tier, not memory, is where artifacts are bounded (GC).  One
+/// process-wide instance per kind (global()); fresh instances are cheap and
+/// used by tests and benchmarks.
 template <typename Traits>
 class ArtifactStore {
  public:
@@ -258,23 +236,6 @@ class ArtifactStore {
   ValuePtr get(const Key& key, const ArtifactDiskOptions& disk,
                const Builder& build) {
     const std::uint64_t d = key.digest();
-    // Read-mostly fast path: when no memory budget is configured (the
-    // default), hits are served from an immutable snapshot of the ready
-    // entries without taking the store mutex — this is what keeps a
-    // parallel experiment batch from serializing on its per-episode cache
-    // probes.  The snapshot skips the LRU touch, which only matters for
-    // eviction order, and eviction only exists under a budget — so with a
-    // budget set the fast path is disabled and every get() takes the
-    // locked path with exact LRU semantics.
-    if (fast_path_.load(std::memory_order_acquire)) {
-      if (const auto snap = std::atomic_load(&snapshot_)) {
-        const auto it = snap->find(d);
-        if (it != snap->end() && it->second.first == key) {
-          fast_hits_.fetch_add(1, std::memory_order_relaxed);
-          return it->second.second;
-        }
-      }
-    }
     std::shared_ptr<std::promise<ValuePtr>> promise;
     std::shared_future<ValuePtr> future;
     std::uint64_t epoch = 0;
@@ -291,16 +252,13 @@ class ArtifactStore {
               fingerprint_hex(d));
         ++stats_.hits;
         if (it->second.in_flight) ++stats_.waits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru);
         future = it->second.ready;
       } else {
         ++stats_.misses;
         promise = std::make_shared<std::promise<ValuePtr>>();
         future = promise->get_future().share();
-        lru_.push_front(d);
         epoch = ++epoch_counter_;
-        entries_.emplace(d, Entry{key, future, lru_.begin(), epoch, true, 0,
-                                  ValuePtr{}});
+        entries_.emplace(d, Entry{key, future, epoch, true});
       }
     }
     if (!promise) return future.get();  // rethrows a failed build, by design
@@ -353,17 +311,11 @@ class ArtifactStore {
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      // clear() or an eviction may have raced the fill; only finalize the
-      // entry this call created (the value itself is handed out anyway).
+      // clear() may have raced the fill; only finalize the entry this call
+      // created (the value itself is handed out anyway).
       const auto it = entries_.find(d);
-      if (it != entries_.end() && it->second.epoch == epoch) {
+      if (it != entries_.end() && it->second.epoch == epoch)
         it->second.in_flight = false;
-        it->second.value = value;
-        it->second.bytes = Traits::weight_bytes(*value);
-        stats_.bytes += it->second.bytes;
-        enforce_budget_locked(d);
-        rebuild_snapshot_locked();
-      }
     }
     promise->set_value(value);
     return value;
@@ -373,37 +325,22 @@ class ArtifactStore {
     return get(key, ArtifactDiskOptions{}, build);
   }
 
-  /// In-memory budget; evicts immediately if already over.  Setting any
-  /// nonzero budget disables the lock-free hit path (eviction needs exact
-  /// LRU order); resetting to unlimited re-enables it.
-  void set_memory_budget(const ArtifactMemoryBudget& budget) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    budget_ = budget;
-    enforce_budget_locked(/*protect_digest=*/0);
-    rebuild_snapshot_locked();
-  }
-
   ArtifactStoreStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    ArtifactStoreStats s = stats_;
-    s.fast_hits = fast_hits_.load(std::memory_order_relaxed);
-    s.hits += s.fast_hits;
-    return s;
+    return stats_;
   }
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
   }
-  /// Drops every entry and zeroes the stats (tests, long-lived services).
+  /// Drops every entry and zeroes the stats (tests, benchmarks).  Values
+  /// callers already hold stay valid (they are shared_ptr-owned).
   /// In-flight builds complete and hand their value to current waiters,
   /// but are not re-admitted.
   void clear() {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    lru_.clear();
     stats_ = ArtifactStoreStats{};
-    fast_hits_.store(0, std::memory_order_relaxed);
-    rebuild_snapshot_locked();
   }
 
   /// Versioned digest-addressed artifact file name for `key`.
@@ -420,8 +357,7 @@ class ArtifactStore {
       ArtifactStoreRegistry::global().add(ArtifactStoreRegistry::Handle{
           Traits::kind(),
           [s] { return s->stats(); },
-          [s] { s->clear(); },
-          [s](ArtifactMemoryBudget b) { s->set_memory_budget(b); }});
+          [s] { s->clear(); }});
       return s;
     }();
     return *store;
@@ -431,74 +367,13 @@ class ArtifactStore {
   struct Entry {
     Key key;
     std::shared_future<ValuePtr> ready;
-    std::list<std::uint64_t>::iterator lru;
-    std::uint64_t epoch = 0;  ///< guards finalize against clear()/evict races
+    std::uint64_t epoch = 0;  ///< guards finalize/erase against clear()
     bool in_flight = true;
-    std::size_t bytes = 0;
-    ValuePtr value;  ///< set at finalize; feeds the lock-free snapshot
   };
-
-  /// Publishes an immutable digest -> (key, value) snapshot of the ready
-  /// entries for the lock-free hit path — or retracts it entirely while a
-  /// memory budget is active (eviction needs exact LRU bookkeeping, which
-  /// the fast path deliberately skips).  Called under mutex_.
-  void rebuild_snapshot_locked() {
-    const bool budgeted = budget_.max_entries > 0 || budget_.max_bytes > 0;
-    if (budgeted) {
-      fast_path_.store(false, std::memory_order_release);
-      std::atomic_store(&snapshot_, std::shared_ptr<const Snapshot>());
-      return;
-    }
-    auto snap = std::make_shared<Snapshot>();
-    snap->reserve(entries_.size());
-    // seo-lint: allow(unordered-iter) -- copies one unordered map into
-    // another keyed on the same digests; iteration order never reaches
-    // bytes, and lookups on the snapshot are by digest, not traversal.
-    for (const auto& [digest, entry] : entries_)
-      if (!entry.in_flight)
-        snap->emplace(digest, std::make_pair(entry.key, entry.value));
-    std::atomic_store(&snapshot_,
-                      std::shared_ptr<const Snapshot>(std::move(snap)));
-    fast_path_.store(true, std::memory_order_release);
-  }
 
   void erase_if_epoch(std::uint64_t digest, std::uint64_t epoch) {
     const auto it = entries_.find(digest);
-    if (it == entries_.end() || it->second.epoch != epoch) return;
-    if (!it->second.in_flight) stats_.bytes -= it->second.bytes;
-    lru_.erase(it->second.lru);
-    entries_.erase(it);
-  }
-
-  /// Evicts ready entries LRU-first until within budget.  In-flight builds
-  /// are never evicted (their waiters still need the shared future and
-  /// they carry no payload bytes yet), the most-recently-used entry is
-  /// always retained (evicting it would only force an immediate rebuild
-  /// without freeing the caller's reference), and `protect_digest` (the
-  /// entry the caller just completed, which hits on other keys may have
-  /// pushed off the LRU front) survives even when it alone busts the
-  /// budget.
-  void enforce_budget_locked(std::uint64_t protect_digest) {
-    const auto over = [&] {
-      const bool entries_over =
-          budget_.max_entries > 0 && entries_.size() > budget_.max_entries;
-      const bool bytes_over =
-          budget_.max_bytes > 0 && stats_.bytes > budget_.max_bytes;
-      return entries_over || bytes_over;
-    };
-    auto it = lru_.end();
-    while (over() && it != lru_.begin()) {
-      --it;
-      if (it == lru_.begin()) break;  // the MRU entry is always retained
-      const std::uint64_t d = *it;
-      const auto entry = entries_.find(d);
-      SEO_ASSERT(entry != entries_.end());
-      if (entry->second.in_flight || d == protect_digest) continue;
-      stats_.bytes -= entry->second.bytes;
-      ++stats_.evictions;
-      entries_.erase(entry);
-      it = lru_.erase(it);  // returns the element after the erased one
-    }
+    if (it != entries_.end() && it->second.epoch == epoch) entries_.erase(it);
   }
 
   /// Outcome of one disk probe: `kCold` = no artifact on disk, `kLoaded` =
@@ -564,21 +439,10 @@ class ArtifactStore {
     }
   }
 
-  /// Immutable view of the ready entries, swapped atomically on every
-  /// finalize/clear/budget change; readers hold it via shared_ptr so a
-  /// concurrent rebuild can never free a map a reader is still probing.
-  using Snapshot =
-      std::unordered_map<std::uint64_t, std::pair<Key, ValuePtr>>;
-
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> lru_;  ///< most recently used first
-  ArtifactMemoryBudget budget_;
   ArtifactStoreStats stats_;
   std::uint64_t epoch_counter_ = 0;
-  std::shared_ptr<const Snapshot> snapshot_;
-  std::atomic<bool> fast_path_{true};
-  std::atomic<std::uint64_t> fast_hits_{0};
 };
 
 }  // namespace seo

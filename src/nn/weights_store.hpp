@@ -70,9 +70,6 @@ struct CemWeightsTraits {
   /// Architecture must match the key and every parameter must be finite —
   /// a truncated or poisoned payload must rebuild, never drive a policy.
   static void validate(const Key& key, const Mlp& net);
-  static std::size_t weight_bytes(const Mlp& net) {
-    return net.parameter_count() * sizeof(double) + 256;
-  }
 };
 
 /// Canonical content digest of a parameter vector (bit-exact over the IEEE

@@ -27,8 +27,7 @@
 //
 // DeadlineTableCache is the PR 4 API, kept as a thin adapter over the
 // generic store so existing call sites and tests are undisturbed while the
-// mechanics (single-flight, LRU memory budget, disk tier + GC) live in
-// core/artifact_store.
+// mechanics (single-flight, disk tier + GC) live in core/artifact_store.
 #pragma once
 
 #include <cstdint>
@@ -113,9 +112,6 @@ struct LipschitzTableTraits {
     table_artifact_detail::validate_table_shape(key.table, key.body_radius,
                                                 table);
   }
-  static std::size_t weight_bytes(const DeadlineTable& table) {
-    return table.cell_count() * sizeof(double) + 256;
-  }
 };
 
 /// Artifact kind "rphi": rollout-φ deadline tables.
@@ -135,15 +131,11 @@ struct RolloutTableTraits {
     table_artifact_detail::validate_table_shape(key.table, key.body_radius,
                                                 table);
   }
-  static std::size_t weight_bytes(const DeadlineTable& table) {
-    return table.cell_count() * sizeof(double) + 256;
-  }
 };
 
 using RolloutTableStore = ArtifactStore<RolloutTableTraits>;
 
-/// Stats alias kept from PR 4 (same counters, now with eviction/byte
-/// fields from the generic store).
+/// Stats alias for the adapter's callers: the generic store's counters.
 using DeadlineTableCacheStats = ArtifactStoreStats;
 
 /// Thin adapter over ArtifactStore<LipschitzTableTraits> preserving the
@@ -172,13 +164,9 @@ class DeadlineTableCache {
     return store_.get(key, disk, build);
   }
 
-  void set_memory_budget(const ArtifactMemoryBudget& budget) {
-    store_.set_memory_budget(budget);
-  }
-
   DeadlineTableCacheStats stats() const { return store_.stats(); }
   std::size_t size() const { return store_.size(); }
-  /// Drops every entry and zeroes the stats (tests, long-lived services).
+  /// Drops every entry and zeroes the stats (tests, benchmarks).
   void clear() { store_.clear(); }
 
   /// The process-wide cache run_episode consults (wraps the registered

@@ -304,12 +304,6 @@ const std::vector<KeyDef>& key_registry() {
     k.push_back(dbl(nullptr, "cache_max_age_h",
                     [](ScenarioConfig& s) -> double& { return s.cache_max_age_h; },
                     "artifact last-use age cap [h] (0 = unbounded)"));
-    k.push_back(dbl(nullptr, "cache_mem_mb",
-                    [](ScenarioConfig& s) -> double& { return s.cache_mem_mb; },
-                    "per-kind in-memory byte budget [MB] (0 = unbounded)"));
-    k.push_back(integer(nullptr, "cache_mem_entries",
-                        [](ScenarioConfig& s) -> int& { return s.cache_mem_entries; },
-                        "per-kind in-memory entry cap (0 = unbounded)"));
 
     k.push_back(dbl("Perception", "detector_range",
                     [](ScenarioConfig& s) -> double& { return s.detector.max_range; },

@@ -81,15 +81,6 @@ ArtifactDiskOptions artifact_disk_options(const ScenarioConfig& config) {
   return disk;
 }
 
-ArtifactMemoryBudget artifact_memory_budget(const ScenarioConfig& config) {
-  ArtifactMemoryBudget budget;
-  budget.max_entries = config.cache_mem_entries > 0
-                           ? static_cast<std::size_t>(config.cache_mem_entries)
-                           : 0;
-  budget.max_bytes = static_cast<std::size_t>(mb_to_bytes(config.cache_mem_mb));
-  return budget;
-}
-
 /// Table grid with the domain resolved to the sensing range (both sources
 /// share one sensing horizon).
 DeadlineTableConfig effective_table_config(const ScenarioConfig& config) {
@@ -195,7 +186,6 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
     table_config.threads =
         DeadlineTableCache::effective_build_threads(table_config.threads);
     const ArtifactDiskOptions disk = artifact_disk_options(config);
-    const ArtifactMemoryBudget budget = artifact_memory_budget(config);
     if (config.table_source == TableSource::kRollout) {
       const auto build = [&] {
         return std::make_unique<DeadlineTable>(table_config, *rollout_exact,
@@ -204,7 +194,6 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
       if (config.table_cache) {
         RolloutTableKey key = rollout_table_key(config);
         key.table.threads = table_config.threads;  // cosmetic; not in digest
-        RolloutTableStore::global().set_memory_budget(budget);
         table = RolloutTableStore::global().get(key, disk, build);
       } else {
         table = build();
@@ -221,7 +210,6 @@ EpisodeResult run_episode(const ScenarioConfig& config, EpisodeTrace* trace) {
         // table.
         DeadlineTableKey key = lipschitz_table_key(config, interval_config);
         key.table.threads = table_config.threads;
-        DeadlineTableCache::global().set_memory_budget(budget);
         table = DeadlineTableCache::global().get(key, disk, build);
       } else {
         table = build();

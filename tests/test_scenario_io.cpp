@@ -229,5 +229,11 @@ TEST(ScenarioIo, KeyRegistryIsDuplicateFree) {
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
 }
 
+// The artifact store has no in-memory budget, so its two keys are gone.
+TEST(ScenarioIo, RemovedCacheMemoryKeysAreUnknown) {
+  EXPECT_FALSE(is_scenario_key("cache_mem_mb"));
+  EXPECT_FALSE(is_scenario_key("cache_mem_entries"));
+}
+
 }  // namespace
 }  // namespace seo

@@ -1,8 +1,8 @@
 // Multi-host sweep tests: the shard planner's partition algebra and shard
 // execution / trace merge byte-identity against the unsharded run.  The
 // end-to-end `sweep` CLI checks (report and trace bytes across --threads,
-// the --stats line, rejected flags) drive the real binary when CMake baked
-// its path in (SEO_SWEEP_TOOL).
+// the --stats line, rejected flags and cache settings) drive the real
+// binaries when CMake baked their paths in (SEO_SWEEP_TOOL, SEO_FLEET_TOOL).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -279,6 +279,33 @@ TEST(SweepCli, RemovedWorkerFlagsAreRejected) {
     const std::string flag = flags.substr(0, flags.find(' '));
     EXPECT_NE(err.str().find("unknown argument: " + flag), std::string::npos)
         << cmd << "\n" << err.str();
+  }
+}
+
+// The in-memory cache budget is gone: `--cache mem-mb=` is an unknown
+// setting and `cache_mem_mb` an unknown key, in both grid CLIs.
+TEST(SweepCli, RemovedCacheMemoryKnobsAreRejected) {
+  const std::string log = ::testing::TempDir() + "/removed_knob.log";
+  const auto run = [&](const std::string& tool, const std::string& flags) {
+    const std::string cmd =
+        tool + " --smoke " + flags + " --output /dev/null 2>" + log;
+    const int status = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    std::ifstream in(log);
+    std::stringstream err;
+    err << in.rdbuf();
+    return err.str();
+  };
+  for (const std::string tool : {SEO_SWEEP_TOOL, SEO_FLEET_TOOL}) {
+    const std::string cache = run(tool, "--cache mem-mb=1");
+    EXPECT_NE(cache.find("--cache: unknown setting 'mem-mb'"),
+              std::string::npos)
+        << tool << "\n" << cache;
+    const std::string key = run(tool, "--set cache_mem_mb=1");
+    EXPECT_NE(key.find("unknown sweep override key: cache_mem_mb"),
+              std::string::npos)
+        << tool << "\n" << key;
   }
 }
 

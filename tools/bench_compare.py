@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate: compare a fresh BENCH_hotpaths.json against
-the committed baseline and fail on real_time regressions.
+"""Benchmark regression gate: compare a change's hot-path timings against
+its parent's and fail on real_time regressions.
 
 Usage:
-    tools/bench_compare.py fresh.json baseline.json \
+    tools/bench_compare.py change.json parent.json \
         [--max-regression 0.25] [--names BM_A,BM_B,...]
 
 Compares the named hot-path benchmarks (or a built-in default set) and
 exits 1 when any of them regressed by more than --max-regression
-(fractional, e.g. 0.25 = +25% real_time).  Benchmarks missing from either
-file fail the gate too — a silently dropped benchmark is how regressions
-hide.  Improvements and small deltas are reported but never fail.
+(fractional, e.g. 0.25 = +25% real_time).  A benchmark missing from the
+change fails the gate — a silently dropped benchmark is how regressions
+hide; one missing only from the parent is reported as new.  Improvements
+and small deltas are reported but never fail.
+
+The gate is meant for paired timings: the parent's and the change's
+binaries built on one host and run interleaved (see the CI gate step;
+`tools/bench_to_json.py` pools each side's rounds), so both sides see the same machine and
+the same load.  It also accepts any older file, e.g. the committed
+BENCH_hotpaths.json trajectory, as the second argument.
 
 Absolute timings only compare meaningfully across machines of the same
 class.  The class fingerprint is (num_cpus, mhz_per_cpu) — deliberately
@@ -129,8 +136,10 @@ def check_scaling(args, fresh: dict, fresh_ctx: dict) -> list:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("fresh", help="freshly produced BENCH_hotpaths.json")
-    parser.add_argument("baseline", help="committed baseline to compare against")
+    parser.add_argument("fresh", help="the change's timings "
+                                      "(BENCH_hotpaths.json shape)")
+    parser.add_argument("baseline", help="the parent's timings to compare "
+                                         "against")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="fail when real_time grows by more than this "
                              "fraction (default 0.25 = +25%%)")
@@ -182,13 +191,14 @@ def main() -> int:
         print(f"{'benchmark':<{width}}  {'baseline':>12}  {'fresh':>12}  "
               f"delta")
     for name in names:
-        if name not in baseline:
-            failures.append(f"{name}: missing from baseline")
-            print(f"{name:<{width}}  {'MISSING':>12}")
-            continue
         if name not in fresh:
             failures.append(f"{name}: missing from fresh results")
             print(f"{name:<{width}}  {'':>12}  {'MISSING':>12}")
+            continue
+        if name not in baseline:
+            # Added by the change: nothing to regress against yet.
+            print(f"{name:<{width}}  {'NEW':>12}  "
+                  f"{real_time_ns(fresh[name]):>10.1f}ns")
             continue
         base_ns = real_time_ns(baseline[name])
         fresh_ns = real_time_ns(fresh[name])

@@ -7,9 +7,11 @@ Usage:
 
 A baseline is best taken with repetitions (e.g. --benchmark_repetitions=5);
 each benchmark then records the median of its repeats.  Several inputs
-merge into one file, a later input's entry replacing an earlier one of the
-same name: a quick full pass followed by a repeated pass over a few names
-keeps the medians of those names and the single samples of the rest.
+pool into one file: every repetition of a name in every input is one
+sample, and the entry is the median of all of them.  That is how the
+paired CI gate combines interleaved rounds: the parent's rounds pool into
+one file, the change's into another, and tools/bench_compare.py compares
+the two.
 
 Keeps one entry per benchmark (name -> real/cpu time) plus enough host
 context to interpret the numbers across machines, so successive commits of
@@ -21,6 +23,7 @@ time).
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -37,8 +40,9 @@ def checkout_commit() -> str | None:
     return done.stdout.strip() or None
 
 
-def convert(raw: dict, commit: str | None = None) -> dict:
-    context = raw.get("context", {})
+def convert(raws: list, commit: str | None = None) -> dict:
+    """One entry per name: the median over every repetition in `raws`."""
+    context = raws[0].get("context", {}) if raws else {}
     out = {
         "context": {
             "date": context.get("date"),
@@ -53,19 +57,22 @@ def convert(raw: dict, commit: str | None = None) -> dict:
         },
         "benchmarks": {},
     }
-    for bench in raw.get("benchmarks", []):
-        name = bench["name"]
-        if bench.get("run_type") == "aggregate":
-            # Under --benchmark_repetitions the median of the repeats, which
-            # follows them in the output, is the entry kept.
-            if bench.get("aggregate_name") != "median":
-                continue
-            name = bench["run_name"]
+    samples = {}
+    for raw in raws:
+        for bench in raw.get("benchmarks", []):
+            # Under --benchmark_repetitions the repeats are listed one by
+            # one, followed by their aggregates; the repeats are the samples.
+            if bench.get("run_type") != "aggregate":
+                samples.setdefault(bench["name"], []).append(bench)
+    for name, runs in samples.items():
+        units = {run.get("time_unit") for run in runs}
+        if len(units) != 1:
+            raise ValueError(f"{name}: mixed time units {sorted(units)}")
         out["benchmarks"][name] = {
-            "real_time": bench.get("real_time"),
-            "cpu_time": bench.get("cpu_time"),
-            "time_unit": bench.get("time_unit"),
-            "iterations": bench.get("iterations"),
+            "real_time": statistics.median(r["real_time"] for r in runs),
+            "cpu_time": statistics.median(r["cpu_time"] for r in runs),
+            "time_unit": units.pop(),
+            "iterations": sum(r.get("iterations", 0) for r in runs),
         }
     return out
 
@@ -74,24 +81,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("inputs", nargs="*", default=["-"],
                         help="google-benchmark JSON files (default: stdin); "
-                             "later files override earlier entries")
+                             "their repetitions pool into one median a name")
     parser.add_argument("-o", "--output", default="BENCH_hotpaths.json",
                         help="output path (default: BENCH_hotpaths.json)")
     args = parser.parse_args()
 
-    commit = checkout_commit()
-    result = None
+    raws = []
     for path in args.inputs:
         if path == "-":
-            raw = json.load(sys.stdin)
+            raws.append(json.load(sys.stdin))
         else:
             with open(path) as f:
-                raw = json.load(f)
-        part = convert(raw, commit)
-        if result is None:
-            result = part
-        else:
-            result["benchmarks"].update(part["benchmarks"])
+                raws.append(json.load(f))
+    result = convert(raws, checkout_commit())
     with open(args.output, "w") as f:
         json.dump(result, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -63,8 +63,6 @@ constexpr const char* kCacheUsage =
     "either way)\n"
     "                           dir=DIR       persist artifacts (all "
     "kinds) in DIR\n"
-    "                           mem-mb=N      per-kind in-memory byte "
-    "budget [MB]\n"
     "                           budget-mb=N   artifact-dir size cap [MB]; "
     "LRU GC\n"
     "                                         sweeps after stores\n"
@@ -127,11 +125,6 @@ inline bool apply_cache_setting(
     overrides.emplace_back("cache_max_age_h", value);
     return true;
   }
-  if (name == "mem-mb") {
-    (void)numeric();
-    overrides.emplace_back("cache_mem_mb", value);
-    return true;
-  }
   return false;
 }
 
@@ -159,7 +152,7 @@ inline bool parse_cache_flag(
         eq == std::string::npos ? "" : item.substr(eq + 1);
     if (!apply_cache_setting(name, value, overrides, state)) {
       std::cerr << "--cache: unknown setting '" << name
-                << "' (expected on, off, dir=, mem-mb=, budget-mb=, "
+                << "' (expected on, off, dir=, budget-mb=, "
                    "max-age-h=, gc)\n";
       std::exit(2);
     }
@@ -200,8 +193,7 @@ inline void print_artifact_store_stats(std::ostream& out) {
     const ArtifactStoreStats& s = row.stats;
     out << "artifact store [" << row.kind << "]: " << s.hits << " hits, "
         << s.misses << " misses, " << s.builds << " builds, " << s.waits
-        << " waits, " << s.lock_waits << " lock waits, " << s.evictions
-        << " evictions, " << s.bytes << " bytes, " << s.disk_loads
+        << " waits, " << s.lock_waits << " lock waits, " << s.disk_loads
         << " disk loads, " << s.disk_stores << " disk stores, "
         << s.disk_failures << " disk failures\n";
   }
